@@ -75,11 +75,15 @@ func (c *Client) doJSON(ctx context.Context, method, path string, in, out any) e
 		return apiError(resp)
 	}
 	defer resp.Body.Close()
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			return err
+		}
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	// Read to EOF (past the encoder's trailing newline) so net/http can
+	// return the connection to the pool instead of redialing.
+	io.Copy(io.Discard, resp.Body)
+	return nil
 }
 
 // Healthz reports whether the daemon is live and accepting work.

@@ -3,8 +3,11 @@ package client
 import (
 	"context"
 	"math"
+	"net"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"vbrsim/internal/modelspec"
@@ -132,6 +135,49 @@ func TestClientStepPositionsOnly(t *testing.T) {
 	}
 	if len(results) != 1 || results[0].Pos != 1000 || results[0].Frames != nil {
 		t.Fatalf("step results: %+v", results)
+	}
+}
+
+// TestClientStepReusesConnection checks JSON calls leave the response body
+// at EOF, so net/http keeps the connection alive: 50 sequential steps must
+// ride a single TCP connection instead of redialing each time.
+func TestClientStepReusesConnection(t *testing.T) {
+	s := server.New(server.Options{})
+	ts := httptest.NewUnstartedServer(s)
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	c := New(ts.URL)
+	c.HTTP = ts.Client()
+	ctx := context.Background()
+	spec := modelspec.Paper()
+	spec.Seed = 9
+	info, err := c.CreateStream(ctx, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Listing the session many times makes the response large enough to be
+	// chunked, so the decoder finishes before the body's terminating chunk —
+	// the case that redials unless the client drains to EOF.
+	ids := make([]string, 256)
+	for i := range ids {
+		ids[i] = info.ID
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := c.Step(ctx, ids, 1, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("create + 50 steps opened %d connections, want 1", got)
 	}
 }
 

@@ -1,0 +1,44 @@
+package hosking
+
+import "sync"
+
+// memoCap bounds each memo. Keys are influenced by clients (truncation
+// tolerances, the marginals of specs sharing one ACF), so the cap is a leak
+// guard, not an LRU: on overflow the map is dropped and refilled. Values
+// already handed out stay valid for their holders.
+const memoCap = 16
+
+// memo caches values derived from the immutable object it is embedded in (a
+// Plan's truncations, a Truncated's engines and per-spec state). Because it
+// lives on that object, dropping the object — a plan-cache eviction or
+// Shared.Purge — releases everything derived from it: no process-wide map
+// pins a purged plan. The zero value is ready to use.
+type memo struct {
+	mu sync.Mutex
+	m  map[any]*memoEntry
+}
+
+type memoEntry struct {
+	once sync.Once
+	v    any
+	err  error
+}
+
+// get returns the value for key, running build at most once per key even
+// under concurrent callers (the rest wait for the first build). Errors are
+// memoized like values: every build this package hosts is deterministic.
+// key must be comparable.
+func (m *memo) get(key any, build func() (any, error)) (any, error) {
+	m.mu.Lock()
+	e, ok := m.m[key]
+	if !ok {
+		if m.m == nil || len(m.m) >= memoCap {
+			m.m = make(map[any]*memoEntry)
+		}
+		e = &memoEntry{}
+		m.m[key] = e
+	}
+	m.mu.Unlock()
+	e.once.Do(func() { e.v, e.err = build() })
+	return e.v, e.err
+}

@@ -64,6 +64,23 @@ type Truncated struct {
 	phiSum float64 // sum of the frozen row
 	tol    float64
 	maxErr float64 // measured max |implied ACF - target ACF| over lags (p, plan length)
+
+	derived memo // state other packages precompute from this truncation
+}
+
+// withDefaults fills the zero fields, so equivalent options share one memo
+// key on the plan.
+func (o TruncateOptions) withDefaults() TruncateOptions {
+	if o.Tol <= 0 {
+		o.Tol = 1e-3
+	}
+	if o.Run <= 0 {
+		o.Run = 32
+	}
+	if o.ACFTol < 0 {
+		o.ACFTol = 0
+	}
+	return o
 }
 
 // Truncate selects the truncation order and returns the fast generation
@@ -71,15 +88,22 @@ type Truncated struct {
 // magnitude >= Tol (requiring at least Run quiet lags after it inside the
 // plan); when ACFTol is set the order is then advanced until the measured
 // induced ACF error is within that bound.
+//
+// The result is memoized on the plan per (defaulted) options: every caller
+// asking one plan for the same truncation gets the same *Truncated, and with
+// it everything hung off it through Derived.
 func (p *Plan) Truncate(opt TruncateOptions) (*Truncated, error) {
-	tol := opt.Tol
-	if tol <= 0 {
-		tol = 1e-3
+	opt = opt.withDefaults()
+	v, err := p.truncs.get(opt, func() (any, error) { return p.truncate(opt) })
+	if err != nil {
+		return nil, err
 	}
-	run := opt.Run
-	if run <= 0 {
-		run = 32
-	}
+	return v.(*Truncated), nil
+}
+
+// truncate builds the truncation for defaulted options.
+func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
+	tol, run := opt.Tol, opt.Run
 	maxOrder := p.n - 1 - run
 	if maxOrder < 1 {
 		return nil, fmt.Errorf("%w: plan length %d too short for run %d", ErrNoTruncation, p.n, run)
@@ -189,6 +213,18 @@ func (t *Truncated) MaxACFError() float64 { return t.maxErr }
 
 // Plan returns the exact plan the truncation was derived from.
 func (t *Truncated) Plan() *Plan { return t.plan }
+
+// Derived returns the value memoized on the truncation under key, calling
+// build on its first request; concurrent first requests share one build.
+// Packages that precompute immutable state from a truncation (streamblock
+// engines, modelspec's per-spec state) keep it here, so it is released with
+// the truncation's plan — on plan-cache eviction or PlanCache.Purge — rather
+// than pinned by a process-wide map. key must be comparable; give it an
+// unexported type so packages cannot collide. At most a small fixed number
+// of keys is kept per truncation; past that the memo starts over.
+func (t *Truncated) Derived(key any, build func() (any, error)) (any, error) {
+	return t.derived.get(key, build)
+}
 
 // Len reports the maximum path length, which for the AR(p) fast path is
 // unbounded: generation beyond the plan length is exactly what truncation

@@ -42,7 +42,7 @@ func TestStreamImpliedACF(t *testing.T) {
 	}
 	// The attenuated implied ACF must sit strictly inside the background's:
 	// 0 < rho_Y(k) < rho_X(k) for the paper's positively correlated model.
-	bg := st.trunc.ImpliedACF(256)
+	bg := st.g.trunc.ImpliedACF(256)
 	for k := 1; k < 256; k++ {
 		if rho[k] <= 0 || rho[k] >= bg[k] {
 			t.Fatalf("lag %d: attenuated rho = %v outside (0, %v)", k, rho[k], bg[k])

@@ -326,19 +326,24 @@ func (s *Spec) Source() (acf.Model, transform.T, error) {
 	if s.Engine == EngineGOP || s.Engine == EngineTES {
 		return nil, transform.T{}, fmt.Errorf("modelspec: engine %q has no Gaussian background model", s.Engine)
 	}
-	var target dist.Distribution = dist.StdNormal
-	if s.Marginal != nil {
-		d, err := s.Marginal.Distribution()
-		if err != nil {
-			return nil, transform.T{}, err
-		}
-		target = d
+	target, err := s.target()
+	if err != nil {
+		return nil, transform.T{}, err
 	}
 	model, err := s.ACF.Model()
 	if err != nil {
 		return nil, transform.T{}, err
 	}
 	return model, transform.New(target), nil
+}
+
+// target materializes the foreground marginal of a Gaussian-engine spec:
+// standard normal when the spec carries none.
+func (s *Spec) target() (dist.Distribution, error) {
+	if s.Marginal == nil {
+		return dist.StdNormal, nil
+	}
+	return s.Marginal.Distribution()
 }
 
 // SampleCap bounds the empirical-marginal sample FromModel embeds in a
@@ -531,25 +536,24 @@ func (t *TESSpec) config(target dist.Distribution) tes.Config {
 // cache, mapped through the marginal transform. It is bound to a single
 // goroutine; trafficd serializes access per session.
 type Stream struct {
-	trunc *hosking.Truncated // nil for the gop and tes engines
-	tr    transform.T
-	seed  uint64
-	mean  float64           // stationary foreground mean (bytes per frame)
-	marg  dist.Distribution // foreground marginal (nil for gop)
+	g    *gaussian // shared per-spec state; nil for the gop and tes engines
+	seed uint64
 
 	// Exactly one of gen (truncated engine), blk (block engine), gop and
 	// tes is set.
 	gen *hosking.TruncatedGenerator
 	blk *streamblock.Stream
-	lut *transform.LUT
 	gop *mpegtrace.Generator
 	tes *tes.Generator
 }
 
-// OpenCtx builds the stream for the spec: plan acquisition (cached,
-// cancellable) plus truncation, plus — for the block engine — the shared
-// block engine and the transform LUT. tol is the partial-correlation cutoff
-// (0 = default). The stream starts at frame 0.
+// OpenCtx builds the stream for the spec. For the truncated and block
+// engines that is a plan acquisition (cached, cancellable) plus the spec's
+// shared state — truncation, transform, and for the block engine the block
+// engine and transform LUT — which is built by the first open of the spec
+// and reused by every later one, so a warm open pays only for its per-seed
+// generator or arena. tol is the partial-correlation cutoff (0 = default).
+// The stream starts at frame 0.
 func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -564,7 +568,7 @@ func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Stream{seed: s.Seed, gop: g, mean: cfg.MeanBytesPerFrame()}, nil
+		return &Stream{seed: s.Seed, gop: g}, nil
 	case EngineTES:
 		target, err := s.Marginal.Distribution()
 		if err != nil {
@@ -574,9 +578,9 @@ func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Stream{seed: s.Seed, tes: g, mean: target.Mean(), marg: target}, nil
+		return &Stream{seed: s.Seed, tes: g}, nil
 	}
-	model, tr, err := s.Source()
+	model, err := s.ACF.Model()
 	if err != nil {
 		return nil, err
 	}
@@ -584,18 +588,13 @@ func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{trunc: trunc, tr: tr, seed: s.Seed, mean: tr.Target.Mean(), marg: tr.Target}
-	if s.Engine == EngineBlock {
-		eng, err := streamblock.EngineFor(model, trunc, streamblock.Config{})
-		if err != nil {
-			return nil, err
-		}
-		lut, err := tr.NewDefaultLUT()
-		if err != nil {
-			return nil, err
-		}
-		st.blk = eng.NewStream(s.Seed)
-		st.lut = lut
+	g, err := s.shared(model, trunc)
+	if err != nil {
+		return nil, err
+	}
+	st := &Stream{g: g, seed: s.Seed}
+	if g.eng != nil {
+		st.blk = g.eng.NewStream(s.Seed)
 		return st, nil
 	}
 	st.reset()
@@ -609,7 +608,7 @@ func (st *Stream) reset() {
 		st.gen.Reseed(st.seed)
 		return
 	}
-	st.gen = hosking.NewTruncatedGenerator(st.trunc, rng.New(st.seed))
+	st.gen = hosking.NewTruncatedGenerator(st.g.trunc, rng.New(st.seed))
 }
 
 // Close releases engine-side accounting (the block engine's arena gauge).
@@ -660,63 +659,75 @@ func (st *Stream) Reseed(seed uint64) {
 // the block engine: the stitch overlap length). The gop and tes engines
 // have no Gaussian plan and report 0.
 func (st *Stream) Order() int {
-	if st.trunc == nil {
+	if st.g == nil {
 		return 0
 	}
-	return st.trunc.Order()
+	return st.g.trunc.Order()
 }
 
 // MaxACFError returns the measured ACF error of the truncation (0 for the
 // plan-free gop and tes engines).
 func (st *Stream) MaxACFError() float64 {
-	if st.trunc == nil {
+	if st.g == nil {
 		return 0
 	}
-	return st.trunc.MaxACFError()
+	return st.g.trunc.MaxACFError()
 }
 
 // MeanRate returns the stationary mean frame size in bytes — the quantity
 // service-rate provisioning scales against: the marginal mean for the
 // transform engines and tes, the analytic encoder mean for gop.
-func (st *Stream) MeanRate() float64 { return st.mean }
+func (st *Stream) MeanRate() float64 {
+	switch {
+	case st.g != nil:
+		return st.g.mean
+	case st.gop != nil:
+		return st.gop.Config().MeanBytesPerFrame()
+	}
+	return st.tes.Config().Marginal.Mean()
+}
 
 // Marginal returns the foreground marginal distribution the stream maps
 // frames through, or nil for the gop engine (whose marginal is emergent, not
 // analytic). Live monitors compare observed quantiles against it.
-func (st *Stream) Marginal() dist.Distribution { return st.marg }
+func (st *Stream) Marginal() dist.Distribution {
+	switch {
+	case st.g != nil:
+		return st.g.tr.Target
+	case st.tes != nil:
+		return st.tes.Config().Marginal
+	}
+	return nil
+}
 
 // ImpliedACF returns the model-implied autocorrelation of served frames at
 // lags 0..lags-1: the truncated plan's background ACF (the AR(p) extension
 // that is bit-true to what the generator actually produces, including the
 // truncation error) attenuated through the marginal transform by the paper's
 // factor a = Attenuation() — eq. 9's ρ_Y(k) ≈ a·ρ_X(k), with ρ_Y(0) = 1.
+// The slice is shared by every stream of the spec and must not be modified.
 // Engines without a Gaussian background (gop, tes) return nil: their serve-
 // path correlation has no cheap analytic form, so live monitors skip the
 // ACF and Hurst checks for them.
 func (st *Stream) ImpliedACF(lags int) []float64 {
-	if st.trunc == nil || lags <= 0 {
+	if st.g == nil || lags <= 0 {
 		return nil
 	}
-	rho := st.trunc.ImpliedACF(lags)
-	a := st.tr.Attenuation()
-	for k := 1; k < len(rho); k++ {
-		rho[k] *= a
-	}
-	return rho
+	return st.g.impliedACF(lags)
 }
 
 // Next produces the next foreground frame (bytes per frame).
 func (st *Stream) Next() float64 {
 	switch {
 	case st.blk != nil:
-		return st.lut.Apply(st.blk.Next())
+		return st.g.lut.Apply(st.blk.Next())
 	case st.gop != nil:
 		size, _ := st.gop.Next()
 		return size
 	case st.tes != nil:
 		return st.tes.Next()
 	}
-	return st.tr.Apply(st.gen.Next())
+	return st.g.tr.Apply(st.gen.Next())
 }
 
 // Fill produces len(out) consecutive frames.
@@ -726,7 +737,7 @@ func (st *Stream) Fill(out []float64) {
 		// Background block fill, then the LUT in place — bit-identical to
 		// Next (same LUT evaluation), with no intermediate buffer.
 		st.blk.Fill(out)
-		st.lut.ApplyTo(out, out)
+		st.g.lut.ApplyTo(out, out)
 		return
 	case st.gop != nil:
 		for i := range out {
@@ -739,8 +750,9 @@ func (st *Stream) Fill(out []float64) {
 		}
 		return
 	}
+	tr := st.g.tr
 	for i := range out {
-		out[i] = st.tr.Apply(st.gen.Next())
+		out[i] = tr.Apply(st.gen.Next())
 	}
 }
 

@@ -92,6 +92,12 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 	results := make([]StepResult, len(sessions))
 	workers := par.Workers(s.opt.StepWorkers, len(sessions))
 	par.ForChunks(workers, len(sessions), func(_, lo, hi int) {
+		// One scratch chunk per worker run, not per session: the discard
+		// path reuses it across every session in [lo, hi).
+		var buf []float64
+		if !req.IncludeFrames {
+			buf = make([]float64, streamChunk)
+		}
 		for i := lo; i < hi; i++ {
 			ss := sessions[i]
 			ss.mu.Lock()
@@ -111,7 +117,6 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 					s.metrics.statmonSampled.Add(float64(req.N))
 				}
 			} else {
-				var buf [streamChunk]float64
 				for left, pos := req.N, res.Start; left > 0; {
 					c := left
 					if c > streamChunk {

@@ -1,11 +1,15 @@
 package server
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"vbrsim/internal/modelspec"
@@ -215,6 +219,45 @@ func TestStreamStepWorkerCountInvariance(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamStepDiscardAllocBound bounds the heap a frame-free step
+// allocates. The discard path fills through a scratch chunk; one chunk per
+// session per request would be fleet × 8 KiB (2 MiB here), one per worker
+// run is a few chunks plus the request and response.
+func TestStreamStepDiscardAllocBound(t *testing.T) {
+	const fleet = 256
+	s, ts := newTestServer(t, Options{MaxSessions: fleet})
+	ids := make([]string, fleet)
+	for i := range ids {
+		ids[i] = createStream(t, ts.URL, paperSpec(uint64(500+i))).ID
+	}
+	body, err := json.Marshal(StepRequest{IDs: ids, N: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	step := func() {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/streams/step", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("step: %d %s", rec.Code, rec.Body)
+		}
+	}
+	step() // past the truncated generators' warm-up rows
+	const rounds = 8
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for i := 0; i < rounds; i++ {
+		step()
+	}
+	runtime.ReadMemStats(&m1)
+	perReq := (m1.TotalAlloc - m0.TotalAlloc) / rounds
+	const bound = 256 << 10
+	if perReq > bound {
+		t.Fatalf("step over %d sessions allocates %d KiB per request, want <= %d KiB",
+			fleet, perReq>>10, bound>>10)
+	}
+	t.Logf("step over %d sessions: %d KiB per request", fleet, perReq>>10)
 }
 
 // TestStreamStepValidation exercises the endpoint's rejection paths:

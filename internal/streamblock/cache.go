@@ -1,57 +1,28 @@
 package streamblock
 
 import (
-	"sync"
-
 	"vbrsim/internal/acf"
 	"vbrsim/internal/hosking"
 )
 
-// engineKey identifies a cached engine. The truncation pointer stands in
-// for the model identity: truncations come from the shared hosking plan
-// cache, so the same (model fingerprint, plan length) yields the same
-// *Truncated across sessions, and a distinct truncation means a distinct
-// conditional law regardless of the model's provenance.
-type engineKey struct {
-	trunc *hosking.Truncated
-	cfg   Config
-}
+// engineKey is the key EngineFor memoizes an engine under on its truncation.
+type engineKey struct{ cfg Config }
 
-var (
-	cacheMu     sync.Mutex
-	engineCache = map[engineKey]*Engine{}
-)
-
-// engineCacheCap bounds the cache; engines are a few hundred KB each and
-// keyed by live truncations, so the cap is a leak guard, not an LRU — on
-// overflow the map is simply dropped (rebuilds are ~1ms).
-const engineCacheCap = 32
-
-// EngineFor returns the cached engine for (trunc, cfg), building it on
-// first use. Every session of the same spec shares one engine, so the
-// Davies-Harte plan and the stitch-kernel spectrum are built once.
+// EngineFor returns the engine for (trunc, cfg), building it on first use
+// and memoizing it on the truncation itself (hosking.Truncated.Derived).
+// Truncations are memoized on their plan, and plans are shared through the
+// hosking plan cache, so every caller of one plan shares one engine — and
+// the engine is released with the plan, not pinned by a global map. The
+// model must be the ACF the truncation was derived from, at every lag below
+// the engine's block total: a model that agrees with another only over the
+// plan's lags gets the other's engine here, so callers that cannot rule that
+// out build with NewEngine.
 func EngineFor(model acf.Model, trunc *hosking.Truncated, cfg Config) (*Engine, error) {
-	key := engineKey{trunc: trunc, cfg: cfg}
-	cacheMu.Lock()
-	if e, ok := engineCache[key]; ok {
-		cacheMu.Unlock()
-		return e, nil
-	}
-	cacheMu.Unlock()
-
-	e, err := NewEngine(model, trunc, cfg)
+	v, err := trunc.Derived(engineKey{cfg}, func() (any, error) {
+		return NewEngine(model, trunc, cfg)
+	})
 	if err != nil {
 		return nil, err
 	}
-	cacheMu.Lock()
-	if prev, ok := engineCache[key]; ok {
-		e = prev // lost a build race; keep the shared one
-	} else {
-		if len(engineCache) >= engineCacheCap {
-			engineCache = map[engineKey]*Engine{}
-		}
-		engineCache[key] = e
-	}
-	cacheMu.Unlock()
-	return e, nil
+	return v.(*Engine), nil
 }

@@ -81,6 +81,9 @@ func New(cfg Config, r *rng.Source) (*Generator, error) {
 // sample Next will produce).
 func (g *Generator) Pos() int { return g.n }
 
+// Config returns the generator's configuration.
+func (g *Generator) Config() Config { return g.cfg }
+
 // Reseed rewinds the generator to sample 0 of the trace keyed by seed: the
 // rng is reseeded in place and a fresh stationary starting point is drawn.
 // Reseeding with the same seed replays the stream bit-identically.

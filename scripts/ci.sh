@@ -33,6 +33,11 @@ echo "== shard gates"
 # evictor racing real traffic must leak no sessions, cost, or arena bytes.
 go test -race -run 'TestShardInvariance|TestShardedRegistryChurnStress' \
     -count=1 ./internal/server
+# Per-spec shared state (truncation, block engine, LUT, statmon reference)
+# is read by every session of a spec at once: 32 goroutines opening,
+# seeking and filling one spec from a cold plan cache must race-check clean
+# and match serial Spec.Frames byte for byte.
+go test -race -run 'TestSharedStateConcurrentOpens' -count=1 ./internal/modelspec
 
 echo "== conformance -quick"
 # Statistical acceptance gates: deterministic seeded checks that the
