@@ -143,15 +143,18 @@ func (s *Scratch) grow(m int) {
 
 // fillSpectrum draws the Hermitian-symmetric Gaussian half-spectrum into
 // a[0..m/2] using exactly the historical draw order of Path: the zero bin,
-// the Nyquist bin, then (re, im) pairs for k = 1..m/2-1.
+// the Nyquist bin, then (re, im) pairs for k = 1..m/2-1. The pairs come from
+// one batched rng.NormPairs draw, bit-identical to the per-draw loop, and are
+// scaled in place by the same multiply the loop performed.
 func (p *Plan) fillSpectrum(a []complex128, r *rng.Source) {
 	h := p.m / 2
 	a[0] = complex(p.sqrtLambda[0]*r.Norm(), 0)
 	a[h] = complex(p.sqrtLambda[h]*r.Norm(), 0)
-	for k := 1; k < h; k++ {
-		re := p.scale[k] * r.Norm()
-		im := p.scale[k] * r.Norm()
-		a[k] = complex(re, im)
+	pairs := a[1:h]
+	r.NormPairs(pairs)
+	scale := p.scale[1:h]
+	for k, z := range pairs {
+		pairs[k] = complex(scale[k]*real(z), scale[k]*imag(z))
 	}
 }
 
@@ -189,11 +192,7 @@ func (p *Plan) fillRawSpectrum(a []complex128, r *rng.Source) {
 	h := p.m / 2
 	a[0] = complex(r.Norm(), 0)
 	a[h] = complex(r.Norm(), 0)
-	for k := 1; k < h; k++ {
-		re := r.Norm()
-		im := r.Norm()
-		a[k] = complex(re, im)
-	}
+	r.NormPairs(a[1:h])
 }
 
 // PathRealInto is PathInto computed through the packed real-input FFT: the

@@ -3,10 +3,11 @@
 // (ACF model, length) plans. The cache is keyed by a fingerprint of the
 // *evaluated* autocorrelation table — not the model value — so any two
 // models that agree on the first n lags share a plan, and models carrying
-// slices or closures need no comparability. Comparable model values
-// additionally get an identity fast path so warm hits skip the O(n) table
-// evaluation. Concurrent requests for the same plan are single-flighted:
-// one goroutine builds, the rest wait.
+// slices or closures need no comparability. Model values with an identity —
+// comparable values, and values carrying slices such as acf.Composite through
+// a canonical encoding of their contents — additionally get an identity fast
+// path so warm hits skip the O(n) table evaluation. Concurrent requests for
+// the same plan are single-flighted: one goroutine builds, the rest wait.
 //
 // Because a hash key can collide, every hit is verified: the cached plan's
 // autocorrelation table must match the requested model bitwise, otherwise
@@ -76,10 +77,10 @@ type PlanCache struct {
 	tick    uint64 // LRU clock
 	stats   CacheStats
 	entries map[cacheKey]*cacheEntry
-	// ident is an identity fast path: for comparable model values a repeat
-	// Get skips the O(n) table evaluation and fingerprinting entirely.
-	// Relies on acf.Model.At being pure, which the whole package assumes
-	// (plans are immutable evaluations of the model).
+	// ident is an identity fast path: for model values with an identity
+	// (see modelIdentity) a repeat Get skips the O(n) table evaluation and
+	// fingerprinting entirely. Relies on acf.Model.At being pure, which the
+	// whole package assumes (plans are immutable evaluations of the model).
 	ident map[identKey]*cacheEntry
 }
 
@@ -88,8 +89,13 @@ type cacheKey struct {
 	n  int
 }
 
+// identKey is a model identity plus the plan length. A hashable model value
+// keys by itself (model); any other model with an identity keys by its
+// dynamic type and canonical encoding (typ, enc), with model left nil.
 type identKey struct {
 	model acf.Model
+	typ   reflect.Type
+	enc   string
 	n     int
 }
 
@@ -176,8 +182,9 @@ func fingerprint(r []float64) uint64 {
 // it as read-only (which the Plan API already enforces).
 //
 // Repeat requests with a comparable model value (plain structs like acf.FGN)
-// short-circuit through an identity map without re-evaluating the model;
-// everything else pays one O(n) table evaluation and is matched by content.
+// or a slice-carrying one (acf.Composite) short-circuit through an identity
+// map without re-evaluating the model; everything else pays one O(n) table
+// evaluation and is matched by content.
 func (c *PlanCache) Get(model acf.Model, n int) (*Plan, error) {
 	return c.GetCtx(context.Background(), model, n)
 }
@@ -245,10 +252,8 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	if n <= 0 || n > MaxPlanLen {
 		return NewPlanOptsCtx(ctx, model, n, PlanOptions{}) // let NewPlan produce the error
 	}
-	var ik identKey
-	hasIdent := model != nil && hashableModel(model)
+	ik, hasIdent := modelIdentity(model, n)
 	if hasIdent {
-		ik = identKey{model: model, n: n}
 		c.mu.Lock()
 		if e, ok := c.ident[ik]; ok {
 			c.tick++
@@ -350,6 +355,93 @@ func (c *PlanCache) noteMiss() {
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
+}
+
+// maxIdentEncoding caps a canonical encoding kept as an identity key. A
+// model bigger than this (a tabulated empirical ACF, say) costs about as
+// much to encode as to evaluate, and its key would pin a table's worth of
+// memory in the identity map, so it is matched by content instead.
+const maxIdentEncoding = 1 << 10
+
+// modelIdentity returns the identity key of (model, n), or false when the
+// model has none and must be matched by content. A hashable model value is
+// its own identity. A value that carries slices (acf.Composite) is
+// identified by its dynamic type and a canonical bit-exact encoding of its
+// contents: At is pure, so two values with the same type and encoding
+// evaluate to the same table, and no value is trusted before its first
+// identity record, which a table-verified hit or its own build makes.
+func modelIdentity(model acf.Model, n int) (identKey, bool) {
+	if model == nil {
+		return identKey{}, false
+	}
+	if hashableModel(model) {
+		return identKey{model: model, n: n}, true
+	}
+	v := reflect.ValueOf(model)
+	enc, ok := appendCanonical(nil, v)
+	if !ok || len(enc) > maxIdentEncoding {
+		return identKey{}, false
+	}
+	return identKey{typ: v.Type(), enc: string(enc), n: n}, true
+}
+
+// appendCanonical appends an injective encoding of v's contents for a fixed
+// type: floats by their IEEE-754 bits, slices and strings with their length
+// (and slices with their nil-ness), structs and arrays field by field. It
+// reports false for anything whose behaviour the bytes cannot pin: pointers,
+// maps, funcs, channels, and non-nil interfaces (whose dynamic type the
+// encoding does not record).
+func appendCanonical(b []byte, v reflect.Value) ([]byte, bool) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			return append(b, 1), true
+		}
+		return append(b, 0), true
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return binary.AppendVarint(b, v.Int()), true
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr:
+		return binary.AppendUvarint(b, v.Uint()), true
+	case reflect.Float32, reflect.Float64:
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float())), true
+	case reflect.Complex64, reflect.Complex128:
+		z := v.Complex()
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(real(z)))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(imag(z))), true
+	case reflect.String:
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		return append(b, v.String()...), true
+	case reflect.Slice:
+		if v.IsNil() {
+			return append(b, 0), true
+		}
+		b = append(b, 1)
+		b = binary.AppendUvarint(b, uint64(v.Len()))
+		fallthrough
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			var ok bool
+			if b, ok = appendCanonical(b, v.Index(i)); !ok {
+				return nil, false
+			}
+		}
+		return b, true
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			var ok bool
+			if b, ok = appendCanonical(b, v.Field(i)); !ok {
+				return nil, false
+			}
+		}
+		return b, true
+	case reflect.Interface:
+		if v.IsNil() {
+			return append(b, 0), true
+		}
+		return nil, false
+	default:
+		return nil, false
+	}
 }
 
 // hashableModel reports whether the model value can be a map key. Type

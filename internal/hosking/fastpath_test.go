@@ -400,8 +400,9 @@ func TestPlanCacheIdentityFastPath(t *testing.T) {
 }
 
 // wrapModel has a comparable struct type but may hold an unhashable dynamic
-// value in its interface field — the acf.Composite shape that must NOT take
-// the identity fast path (hashing it as a map key would panic).
+// value in its interface field. Hashing it as a map key would panic, and its
+// canonical encoding cannot record the interface's dynamic type, so it must
+// take neither identity path and be matched by content.
 type wrapModel struct{ inner acf.Model }
 
 func (w wrapModel) At(k int) float64 { return w.inner.At(k) }

@@ -1,6 +1,7 @@
 package queue
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"vbrsim/internal/rng"
@@ -8,10 +9,11 @@ import (
 
 // intoSource implements PathSourceInto with a deterministic arrival stream,
 // counting how paths were requested so tests can assert the buffer-reuse
-// path is actually exercised.
+// path is actually exercised. The count is atomic because replications run
+// on parallel workers.
 type intoSource struct {
 	mean      float64
-	intoCalls *int
+	intoCalls *atomic.Int64
 }
 
 func (s intoSource) ArrivalPath(r *rng.Source, k int) []float64 {
@@ -24,7 +26,7 @@ func (s intoSource) ArrivalPath(r *rng.Source, k int) []float64 {
 
 func (s intoSource) ArrivalPathInto(r *rng.Source, buf []float64) {
 	if s.intoCalls != nil {
-		*s.intoCalls++
+		s.intoCalls.Add(1)
 	}
 	for i := range buf {
 		buf[i] = s.mean + r.Norm()
@@ -32,15 +34,15 @@ func (s intoSource) ArrivalPathInto(r *rng.Source, buf []float64) {
 }
 
 func TestEstimateOverflowUsesInto(t *testing.T) {
-	calls := 0
+	var calls atomic.Int64
 	src := intoSource{mean: 1.2, intoCalls: &calls}
 	opt := MCOptions{Replications: 200, Seed: 9}
 	res, err := EstimateOverflow(src, 1.5, 3, 40, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 200 {
-		t.Errorf("ArrivalPathInto called %d times, want 200", calls)
+	if n := calls.Load(); n != 200 {
+		t.Errorf("ArrivalPathInto called %d times, want 200", n)
 	}
 	// The allocating and reuse paths draw identically, so an alloc-only
 	// source must give the bitwise-same estimate.

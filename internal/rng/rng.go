@@ -8,7 +8,10 @@
 // derived deterministically for parallel replications via Split.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // Source is a deterministic xoshiro256++ pseudo-random number generator.
 // The zero value is not usable; construct one with New.
@@ -143,6 +146,95 @@ func (r *Source) Norm() float64 {
 		r.spare, r.hasSpare = v*f, true
 		return u * f
 	}
+}
+
+// normBatch is how many polar pairs NormPairs stages per pass: three
+// float64 arrays of this length (6 KiB) live on the caller's stack, so the
+// batched draw needs no per-Source or per-call buffer.
+const normBatch = 256
+
+// acceptBound is the unsigned bound on bits(s)-1 that holds exactly when
+// 0 < s < 1 for a non-negative, non-NaN s: bits(s) = 0 wraps to the top of
+// the range, and every s >= 1 has bits(s) >= bits(1).
+const acceptBound = 0x3FF0000000000000 - 1
+
+// NormPairs fills dst with standard normals, dst[k] = complex(Norm(),
+// Norm()) in order: the values, the consumption of the stream and the spare
+// left behind are exactly those of 2·len(dst) successive Norm calls. It is
+// faster than that loop because it works in batches of polar pairs. Phase 1
+// keeps the xoshiro state in locals, forms (u, v, s) for each candidate and
+// compacts the accepted triples without a branch on the rejection test.
+// Phase 2 then transforms the batch in independent iterations, so the
+// divides, math.Log and math.Sqrt of different pairs overlap in the
+// pipeline. The transform is Norm's own expression, so every value is
+// bit-identical to it on every architecture.
+func (r *Source) NormPairs(dst []complex128) {
+	if len(dst) == 0 {
+		return
+	}
+	// With a pending spare the flat sequence is shifted by one: dst[0]
+	// opens with the spare, each later real part is the previous pair's v·f,
+	// and the last pair's v·f is left as the new spare. Either way the fill
+	// takes exactly len(dst) polar pairs.
+	carry, shifted := r.spare, r.hasSpare
+	var us, vs, ss [normBatch]float64
+	for len(dst) > 0 {
+		want := len(dst)
+		if want > normBatch {
+			want = normBatch
+		}
+		s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+		for got := 0; got < want; {
+			// Two xoshiro256++ steps, inlined: u first, then v, as Norm
+			// draws them.
+			x := rotl(s0+s3, 23) + s0
+			t := s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			y := rotl(s0+s3, 23) + s0
+			t = s1 << 17
+			s2 ^= s0
+			s3 ^= s1
+			s1 ^= s2
+			s0 ^= s3
+			s2 ^= t
+			s3 = rotl(s3, 45)
+			// x>>11 < 2^53 converts exactly through int64, which is one
+			// instruction where the unsigned conversion is several.
+			u := 2*(float64(int64(x>>11))/(1<<53)) - 1
+			v := 2*(float64(int64(y>>11))/(1<<53)) - 1
+			s := u*u + v*v
+			// got < normBatch, so the mask only drops the bounds check.
+			i := got & (normBatch - 1)
+			us[i], vs[i], ss[i] = u, v, s
+			_, accept := bits.Sub64(math.Float64bits(s)-1, acceptBound, 0)
+			got += int(accept)
+		}
+		r.s[0], r.s[1], r.s[2], r.s[3] = s0, s1, s2, s3
+
+		out := dst[:want]
+		u, v, s := us[:want], vs[:want], ss[:want]
+		if shifted {
+			for k := range out {
+				f := math.Sqrt(-2 * math.Log(s[k]) / s[k])
+				out[k] = complex(carry, u[k]*f)
+				carry = v[k] * f
+			}
+		} else {
+			for k := range out {
+				f := math.Sqrt(-2 * math.Log(s[k]) / s[k])
+				out[k] = complex(u[k]*f, v[k]*f)
+			}
+			// Norm leaves the consumed spare's value behind too.
+			carry = imag(out[want-1])
+		}
+		dst = dst[want:]
+	}
+	r.spare, r.hasSpare = carry, shifted
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).

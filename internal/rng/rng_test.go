@@ -287,11 +287,33 @@ func BenchmarkUint64(b *testing.B) {
 	_ = sink
 }
 
+// benchDraws is the draw count per op of BenchmarkNorm and
+// BenchmarkNormPairs: one Davies-Harte refill's worth of normals (a
+// 16384-point circulant's half-spectrum pairs), so the two compare directly.
+const benchDraws = 16384
+
 func BenchmarkNorm(b *testing.B) {
 	r := New(1)
 	var sink float64
 	for i := 0; i < b.N; i++ {
-		sink += r.Norm()
+		for j := 0; j < benchDraws; j++ {
+			sink += r.Norm()
+		}
 	}
-	_ = sink
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchDraws), "ns/draw")
+	normSink = sink
 }
+
+func BenchmarkNormPairs(b *testing.B) {
+	r := New(1)
+	dst := make([]complex128, benchDraws/2)
+	var sink float64
+	for i := 0; i < b.N; i++ {
+		r.NormPairs(dst)
+		sink += real(dst[0])
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchDraws), "ns/draw")
+	normSink = sink
+}
+
+var normSink float64

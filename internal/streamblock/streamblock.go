@@ -289,15 +289,7 @@ func (s *Stream) stitch() {
 	for t := 0; t < p; t++ {
 		pad[t] = s.hist[t] - s.raw[t]
 	}
-	for t := p - 1; t >= 1; t-- {
-		var acc float64
-		diff := pad[:t]
-		phi := e.phi[1 : t+1]
-		for k := 1; k <= t; k++ {
-			acc += phi[k-1] * diff[t-k]
-		}
-		pad[t] -= acc
-	}
+	arResidual(pad[:p], e.phi)
 	for t := p; t < e.conv; t++ {
 		pad[t] = 0
 	}
@@ -319,6 +311,52 @@ func (s *Stream) stitch() {
 	corr := s.d[p:]
 	for j := range out {
 		out[j] += corr[j] * e.invConv
+	}
+}
+
+// arResidual turns diff into the AR residual in place:
+//
+//	diff[t] -= sum_{k=1..t} phi[k]*diff[t-k]   for t = len(diff)-1 down to 1,
+//
+// every sum reading the entry values (rows run downward, so the rows a sum
+// reads are still unmodified). It computes four rows per pass over phi, with
+// one accumulator per row summed in ascending k, so each row's result is
+// bit-identical to the row-at-a-time loop; the four rows share each phi load
+// and a sliding window of diff, and their independent sums overlap.
+func arResidual(diff, phi []float64) {
+	t := len(diff) - 1
+	for ; t >= 4; t -= 4 {
+		// Rows t, t-1, t-2, t-3. Jointly over k = 1..t-3, row t-j adds
+		// phi[k]*diff[t-j-k]; x0..x3 hold diff[t-k] .. diff[t-k-3].
+		var a0, a1, a2, a3 float64
+		x0, x1, x2 := diff[t-1], diff[t-2], diff[t-3]
+		ph := phi[1 : t-2]
+		for k, c := range ph {
+			x3 := diff[t-4-k]
+			a0 += c * x0
+			a1 += c * x1
+			a2 += c * x2
+			a3 += c * x3
+			x0, x1, x2 = x1, x2, x3
+		}
+		// The remaining k of the upper three rows, still in ascending order.
+		a0 += phi[t-2] * diff[2]
+		a0 += phi[t-1] * diff[1]
+		a0 += phi[t] * diff[0]
+		a1 += phi[t-2] * diff[1]
+		a1 += phi[t-1] * diff[0]
+		a2 += phi[t-2] * diff[0]
+		diff[t] -= a0
+		diff[t-1] -= a1
+		diff[t-2] -= a2
+		diff[t-3] -= a3
+	}
+	for ; t >= 1; t-- {
+		var acc float64
+		for k := 1; k <= t; k++ {
+			acc += phi[k] * diff[t-k]
+		}
+		diff[t] -= acc
 	}
 }
 

@@ -92,6 +92,9 @@ go test ./internal/server -run '^$' -fuzz 'FuzzBinaryFrameDecode' -fuzztime=5s
 # The fused real-FFT forward kernel must stay bit-identical to the
 # unfused reference on arbitrary inputs.
 go test ./internal/fft -run '^$' -fuzz 'FuzzRealForwardVsReference' -fuzztime=5s
+# The batched normal draw must emit exactly the values, and leave exactly
+# the generator state, of the same number of successive Norm calls.
+go test ./internal/rng -run '^$' -fuzz 'FuzzNormPairsVsNorm' -fuzztime=5s
 
 echo "== trafficd smoke test"
 # Start the daemon on an ephemeral port, hit /healthz and a 100-frame
