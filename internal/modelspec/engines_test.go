@@ -66,8 +66,10 @@ func TestTESEngineMatchesGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var frame [1]float64
 	for i := 0; i < 4096; i++ {
-		if got, want := st.Next(), ref.Next(); got != want {
+		st.Fill(frame[:])
+		if got, want := frame[0], ref.Next(); got != want {
 			t.Fatalf("frame %d: %v != tes %v", i, got, want)
 		}
 	}

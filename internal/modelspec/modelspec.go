@@ -28,12 +28,6 @@ import (
 	"vbrsim/internal/core"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/farima"
-	"vbrsim/internal/hosking"
-	"vbrsim/internal/mpegtrace"
-	"vbrsim/internal/rng"
-	"vbrsim/internal/streamblock"
-	"vbrsim/internal/tes"
-	"vbrsim/internal/trace"
 	"vbrsim/internal/transform"
 )
 
@@ -239,67 +233,6 @@ func (m *MarginalSpec) Distribution() (dist.Distribution, error) {
 	return nil, fmt.Errorf("modelspec: unknown marginal kind %q", m.Kind)
 }
 
-// Validate checks the spec without building plans.
-func (s *Spec) Validate() error {
-	switch s.Engine {
-	case "", EngineTruncated, EngineBlock:
-		if _, err := s.ACF.Model(); err != nil {
-			return err
-		}
-		if s.Marginal != nil {
-			if _, err := s.Marginal.Distribution(); err != nil {
-				return err
-			}
-		}
-		if s.GOP != nil {
-			return fmt.Errorf("modelspec: gop config requires engine %q", EngineGOP)
-		}
-		if s.TES != nil {
-			return fmt.Errorf("modelspec: tes config requires engine %q", EngineTES)
-		}
-	case EngineGOP:
-		if s.GOP == nil {
-			return fmt.Errorf("modelspec: engine %q needs a gop config", EngineGOP)
-		}
-		if err := s.GOP.Validate(); err != nil {
-			return err
-		}
-		if !s.ACF.IsZero() {
-			return fmt.Errorf("modelspec: engine %q generates its own correlation structure; acf must be empty", EngineGOP)
-		}
-		if s.Marginal != nil {
-			return fmt.Errorf("modelspec: engine %q generates its own marginal; drop the marginal", EngineGOP)
-		}
-		if s.TES != nil {
-			return fmt.Errorf("modelspec: tes config requires engine %q", EngineTES)
-		}
-	case EngineTES:
-		if s.TES == nil {
-			return fmt.Errorf("modelspec: engine %q needs a tes config", EngineTES)
-		}
-		if s.Marginal == nil {
-			return fmt.Errorf("modelspec: engine %q needs a marginal", EngineTES)
-		}
-		target, err := s.Marginal.Distribution()
-		if err != nil {
-			return err
-		}
-		if err := s.TES.config(target).Validate(); err != nil {
-			return err
-		}
-		if !s.ACF.IsZero() {
-			return fmt.Errorf("modelspec: engine %q takes its correlation from the tes config; acf must be empty", EngineTES)
-		}
-		if s.GOP != nil {
-			return fmt.Errorf("modelspec: gop config requires engine %q", EngineGOP)
-		}
-	default:
-		return fmt.Errorf("modelspec: unknown engine %q (want %q, %q, %q or %q)",
-			s.Engine, EngineTruncated, EngineBlock, EngineGOP, EngineTES)
-	}
-	return nil
-}
-
 // Parse decodes and validates a JSON spec. Unknown fields are rejected so
 // typos in hand-written specs fail loudly instead of silently streaming the
 // wrong model.
@@ -323,7 +256,7 @@ func (s *Spec) Source() (acf.Model, transform.T, error) {
 	if err := s.Validate(); err != nil {
 		return nil, transform.T{}, err
 	}
-	if s.Engine == EngineGOP || s.Engine == EngineTES {
+	if !engineFor(s.Engine).gaussian {
 		return nil, transform.T{}, fmt.Errorf("modelspec: engine %q has no Gaussian background model", s.Engine)
 	}
 	target, err := s.target()
@@ -417,134 +350,14 @@ func (s *Spec) TargetHurst() float64 {
 	return s.ACF.AsymptoticHurst()
 }
 
-// Engine names accepted by Spec.Engine.
-const (
-	// EngineTruncated is the AR(p) fast recursion with the exact transform —
-	// the historical serving path, bit-compatible with every pre-engine
-	// spec (its golden traces are unchanged).
-	EngineTruncated = "truncated"
-	// EngineBlock is the overlapped-block Davies-Harte streaming engine:
-	// exact-FFT blocks with AR(p)-conditional stitching, the LUT transform,
-	// and O(1) seek in either direction.
-	EngineBlock = "block"
-	// EngineGOP is the §3.3 interframe scene/GOP simulator promoted to a
-	// first-class backend: I/P/B frame sizes from heavy-tailed Pareto scenes
-	// with Gamma activity and AR(1) modulation. It generates its own
-	// correlation structure and long-tailed marginal, so the spec carries a
-	// GOPSpec instead of an ACF and marginal.
-	EngineGOP = "gop"
-	// EngineTES is the TES (Transform-Expand-Sample) generator: a modulo-1
-	// uniform background stitched and mapped through the spec marginal.
-	EngineTES = "tes"
-)
-
-// GOPSpec serializes the "gop" engine's configuration — the parameters of
-// mpegtrace.Config minus trace length and seed (streams are unbounded and
-// the seed lives on the Spec). Zero fields take the mpegtrace defaults,
-// matching that package's conventions; the zero GOPSpec is the paper-scale
-// encoder (H = 0.9, IBBPBBPBBPBB).
-type GOPSpec struct {
-	// Pattern is the group-of-pictures frame-type pattern, e.g.
-	// "IBBPBBPBBPBB" (the default).
-	Pattern string `json:"pattern,omitempty"`
-	// SceneAlpha is the Pareto tail index of scene durations in (1,2);
-	// H = (3-alpha)/2.
-	SceneAlpha float64 `json:"scene_alpha,omitempty"`
-	// SceneMinFrames is the minimum scene length in frames.
-	SceneMinFrames float64 `json:"scene_min_frames,omitempty"`
-	// ActivityShape/ActivityScale parameterize the Gamma per-scene activity.
-	ActivityShape float64 `json:"activity_shape,omitempty"`
-	ActivityScale float64 `json:"activity_scale,omitempty"`
-	// ModPhi/ModSigma parameterize the within-scene AR(1) log-modulation.
-	ModPhi   float64 `json:"mod_phi,omitempty"`
-	ModSigma float64 `json:"mod_sigma,omitempty"`
-	// IScale, PScale, BScale are the frame-type size multipliers.
-	IScale float64 `json:"i_scale,omitempty"`
-	PScale float64 `json:"p_scale,omitempty"`
-	BScale float64 `json:"b_scale,omitempty"`
-	// FrameNoiseSigma is the per-frame lognormal noise sigma.
-	FrameNoiseSigma float64 `json:"frame_noise_sigma,omitempty"`
-}
-
-// Config converts the spec to an mpegtrace configuration (Frames left zero:
-// streams are unbounded).
-func (g *GOPSpec) Config(seed uint64) (mpegtrace.Config, error) {
-	cfg := mpegtrace.Config{
-		SceneAlpha:      g.SceneAlpha,
-		SceneMinFrames:  g.SceneMinFrames,
-		ActivityShape:   g.ActivityShape,
-		ActivityScale:   g.ActivityScale,
-		ModPhi:          g.ModPhi,
-		ModSigma:        g.ModSigma,
-		IScale:          g.IScale,
-		PScale:          g.PScale,
-		BScale:          g.BScale,
-		FrameNoiseSigma: g.FrameNoiseSigma,
-		Seed:            seed,
-	}
-	if g.Pattern != "" {
-		gop := make([]trace.FrameType, len(g.Pattern))
-		for i, c := range g.Pattern {
-			ft, err := trace.ParseFrameType(string(c))
-			if err != nil {
-				return cfg, fmt.Errorf("modelspec: gop pattern: %w", err)
-			}
-			gop[i] = ft
-		}
-		cfg.GOP = gop
-	}
-	return cfg, nil
-}
-
-// Validate checks the gop configuration by materializing it.
-func (g *GOPSpec) Validate() error {
-	cfg, err := g.Config(0)
-	if err != nil {
-		return err
-	}
-	cfg.Frames = 1 // streams are unbounded; satisfy the finite-trace check
-	if err := cfg.Validate(); err != nil {
-		return fmt.Errorf("modelspec: %w", err)
-	}
-	return nil
-}
-
-// TESSpec serializes the "tes" engine's configuration. The foreground
-// marginal comes from the enclosing Spec.Marginal.
-type TESSpec struct {
-	// Alpha is the innovation width in (0,1]: small alpha means strong
-	// positive background correlation.
-	Alpha float64 `json:"alpha"`
-	// Zeta is the stitching parameter in (0,1]; 0 means 0.5 (symmetric).
-	Zeta float64 `json:"zeta,omitempty"`
-	// Minus selects the TES- variant (alternating reflection).
-	Minus bool `json:"minus,omitempty"`
-}
-
-// config assembles the tes.Config for the given foreground marginal.
-func (t *TESSpec) config(target dist.Distribution) tes.Config {
-	zeta := t.Zeta
-	if zeta == 0 {
-		zeta = 0.5
-	}
-	return tes.Config{Alpha: t.Alpha, Zeta: zeta, Marginal: target, Minus: t.Minus}
-}
-
-// Stream is the deterministic generation loop for a spec: an unbounded
-// background generator — the truncated-AR recursion or the overlapped-block
-// Davies-Harte engine, per Spec.Engine — behind the process-wide plan
-// cache, mapped through the marginal transform. It is bound to a single
-// goroutine; trafficd serializes access per session.
+// Stream is the deterministic generation loop for a spec: one engine's
+// source (see the engine table) behind the process-wide plan cache, and
+// for the Gaussian-background engines the spec's shared state. It is bound
+// to a single goroutine; trafficd serializes access per session.
 type Stream struct {
-	g    *gaussian // shared per-spec state; nil for the gop and tes engines
+	src  source
+	g    *gaussian // shared per-spec state; nil without a Gaussian background
 	seed uint64
-
-	// Exactly one of gen (truncated engine), blk (block engine), gop and
-	// tes is set.
-	gen *hosking.TruncatedGenerator
-	blk *streamblock.Stream
-	gop *mpegtrace.Generator
-	tes *tes.Generator
 }
 
 // OpenCtx builds the stream for the spec. For the truncated and block
@@ -558,80 +371,15 @@ func (s *Spec) OpenCtx(ctx context.Context, tol float64) (*Stream, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	switch s.Engine {
-	case EngineGOP:
-		cfg, err := s.GOP.Config(s.Seed)
-		if err != nil {
-			return nil, err
-		}
-		g, err := mpegtrace.NewGenerator(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{seed: s.Seed, gop: g}, nil
-	case EngineTES:
-		target, err := s.Marginal.Distribution()
-		if err != nil {
-			return nil, err
-		}
-		g, err := tes.New(s.TES.config(target), rng.New(s.Seed))
-		if err != nil {
-			return nil, err
-		}
-		return &Stream{seed: s.Seed, tes: g}, nil
-	}
-	model, err := s.ACF.Model()
-	if err != nil {
-		return nil, err
-	}
-	trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, tol)
-	if err != nil {
-		return nil, err
-	}
-	g, err := s.shared(model, trunc)
-	if err != nil {
-		return nil, err
-	}
-	st := &Stream{g: g, seed: s.Seed}
-	if g.eng != nil {
-		st.blk = g.eng.NewStream(s.Seed)
-		return st, nil
-	}
-	st.reset()
-	return st, nil
-}
-
-func (st *Stream) reset() {
-	if st.gen != nil {
-		// Re-key in place: bit-identical to a fresh generator, but without
-		// allocating (pooled trunk components reseed on every replication).
-		st.gen.Reseed(st.seed)
-		return
-	}
-	st.gen = hosking.NewTruncatedGenerator(st.g.trunc, rng.New(st.seed))
+	return engineFor(s.Engine).open(ctx, s, tol)
 }
 
 // Close releases engine-side accounting (the block engine's arena gauge).
-// A closed stream must not be used again; Close on a truncated-engine
-// stream is a no-op.
-func (st *Stream) Close() {
-	if st.blk != nil {
-		st.blk.Close()
-	}
-}
+// A closed stream must not be used again.
+func (st *Stream) Close() { st.src.Close() }
 
 // Pos returns the index of the next frame the stream will produce.
-func (st *Stream) Pos() int {
-	switch {
-	case st.blk != nil:
-		return st.blk.Pos()
-	case st.gop != nil:
-		return st.gop.Pos()
-	case st.tes != nil:
-		return st.tes.Pos()
-	}
-	return st.gen.Pos()
-}
+func (st *Stream) Pos() int { return st.src.Pos() }
 
 // Seed returns the seed driving the stream.
 func (st *Stream) Seed() uint64 { return st.seed }
@@ -643,21 +391,12 @@ func (st *Stream) Seed() uint64 { return st.seed }
 // allocating.
 func (st *Stream) Reseed(seed uint64) {
 	st.seed = seed
-	switch {
-	case st.blk != nil:
-		st.blk.Reseed(seed)
-	case st.gop != nil:
-		st.gop.Reseed(seed)
-	case st.tes != nil:
-		st.tes.Reseed(seed)
-	default:
-		st.reset()
-	}
+	st.src.Reseed(seed)
 }
 
 // Order returns the AR truncation order of the underlying fast plan (for
-// the block engine: the stitch overlap length). The gop and tes engines
-// have no Gaussian plan and report 0.
+// the block engine: the stitch overlap length). Engines without a Gaussian
+// background have no plan and report 0.
 func (st *Stream) Order() int {
 	if st.g == nil {
 		return 0
@@ -666,7 +405,7 @@ func (st *Stream) Order() int {
 }
 
 // MaxACFError returns the measured ACF error of the truncation (0 for the
-// plan-free gop and tes engines).
+// plan-free engines).
 func (st *Stream) MaxACFError() float64 {
 	if st.g == nil {
 		return 0
@@ -677,28 +416,12 @@ func (st *Stream) MaxACFError() float64 {
 // MeanRate returns the stationary mean frame size in bytes — the quantity
 // service-rate provisioning scales against: the marginal mean for the
 // transform engines and tes, the analytic encoder mean for gop.
-func (st *Stream) MeanRate() float64 {
-	switch {
-	case st.g != nil:
-		return st.g.mean
-	case st.gop != nil:
-		return st.gop.Config().MeanBytesPerFrame()
-	}
-	return st.tes.Config().Marginal.Mean()
-}
+func (st *Stream) MeanRate() float64 { return st.src.MeanRate() }
 
 // Marginal returns the foreground marginal distribution the stream maps
 // frames through, or nil for the gop engine (whose marginal is emergent, not
 // analytic). Live monitors compare observed quantiles against it.
-func (st *Stream) Marginal() dist.Distribution {
-	switch {
-	case st.g != nil:
-		return st.g.tr.Target
-	case st.tes != nil:
-		return st.tes.Config().Marginal
-	}
-	return nil
-}
+func (st *Stream) Marginal() dist.Distribution { return st.src.Marginal() }
 
 // ImpliedACF returns the model-implied autocorrelation of served frames at
 // lags 0..lags-1: the truncated plan's background ACF (the AR(p) extension
@@ -716,59 +439,16 @@ func (st *Stream) ImpliedACF(lags int) []float64 {
 	return st.g.impliedACF(lags)
 }
 
-// Next produces the next foreground frame (bytes per frame).
-func (st *Stream) Next() float64 {
-	switch {
-	case st.blk != nil:
-		return st.g.lut.Apply(st.blk.Next())
-	case st.gop != nil:
-		size, _ := st.gop.Next()
-		return size
-	case st.tes != nil:
-		return st.tes.Next()
-	}
-	return st.g.tr.Apply(st.gen.Next())
-}
-
 // Fill produces len(out) consecutive frames.
-func (st *Stream) Fill(out []float64) {
-	switch {
-	case st.blk != nil:
-		// Background block fill, then the LUT in place — bit-identical to
-		// Next (same LUT evaluation), with no intermediate buffer.
-		st.blk.Fill(out)
-		st.g.lut.ApplyTo(out, out)
-		return
-	case st.gop != nil:
-		for i := range out {
-			out[i], _ = st.gop.Next()
-		}
-		return
-	case st.tes != nil:
-		for i := range out {
-			out[i] = st.tes.Next()
-		}
-		return
-	}
-	tr := st.g.tr
-	for i := range out {
-		out[i] = tr.Apply(st.gen.Next())
-	}
-}
+func (st *Stream) Fill(out []float64) { st.src.Fill(out) }
 
 // Seek positions the stream so the next frame is frame pos. On the
 // truncated engine a backward seek replays deterministically from the seed
 // (O(p) per skipped frame); the block engine seeks in O(1) either way.
 func (st *Stream) Seek(pos int) { st.SeekCtx(context.Background(), pos) }
 
-// seekCheckEvery is how many skipped frames SeekCtx generates between
-// context polls: frequent enough that canceling a request aborts a long
-// replay within milliseconds, rare enough to stay invisible in the O(p)
-// per-frame cost.
-const seekCheckEvery = 1 << 13
-
 // SeekCtx is Seek with cancellation. pos is client-controlled in trafficd,
-// so the truncated engine's replay loop polls ctx; on cancellation the
+// so engines that replay from the seed poll ctx; on cancellation the
 // stream is left at whatever position the replay reached (still a valid
 // state — a later seek continues or resets from there). The block engine
 // seeks in constant time and never reports cancellation.
@@ -776,32 +456,7 @@ func (st *Stream) SeekCtx(ctx context.Context, pos int) error {
 	if pos < 0 {
 		pos = 0
 	}
-	if st.blk != nil {
-		st.blk.Seek(pos)
-		return nil
-	}
-	if pos < st.Pos() {
-		if st.gen != nil {
-			st.reset()
-		} else {
-			st.Reseed(st.seed) // gop/tes: rewind and replay from the seed
-		}
-	}
-	// Replay skips the marginal transform on the truncated engine (it is
-	// stateless); the gop and tes engines step their own foreground draw.
-	step := st.Next
-	if st.gen != nil {
-		step = st.gen.Next
-	}
-	for n := 0; st.Pos() < pos; n++ {
-		if n%seekCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		step()
-	}
-	return nil
+	return st.src.SeekCtx(ctx, pos)
 }
 
 // Frames generates frames [from, from+n) offline, exactly as a trafficd

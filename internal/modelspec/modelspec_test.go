@@ -95,7 +95,9 @@ func TestStreamDeterministicAndSeekable(t *testing.T) {
 	if st.Pos() != 50 {
 		t.Fatalf("Pos after Seek(50) = %d", st.Pos())
 	}
-	if got := st.Next(); got != a[50] {
+	var frame [1]float64
+	st.Fill(frame[:])
+	if got := frame[0]; got != a[50] {
 		t.Fatalf("frame 50 after backward seek: %v, want %v", got, a[50])
 	}
 

@@ -1,11 +1,13 @@
 package modelspec
 
 import (
+	"context"
 	"encoding/binary"
 	"math"
 	"sync"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/core"
 	"vbrsim/internal/hosking"
 	"vbrsim/internal/streamblock"
 	"vbrsim/internal/transform"
@@ -70,21 +72,40 @@ func (s *Spec) sharedKey() gaussianKey {
 	return gaussianKey(b)
 }
 
-// shared returns the spec's shared state on trunc, building it on first use.
-func (s *Spec) shared(model acf.Model, trunc *hosking.Truncated) (*gaussian, error) {
+// validateGaussian checks a Gaussian-background spec: a valid ACF family
+// and, when present, a valid marginal.
+func validateGaussian(s *Spec) error {
+	if _, err := s.ACF.Model(); err != nil {
+		return err
+	}
+	if s.Marginal != nil {
+		if _, err := s.Marginal.Distribution(); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// gaussianState acquires the spec's plan (cached, cancellable) and its
+// shared state on that plan's truncation. build, when set, adds engine-
+// specific state the first time the shared state is built.
+func (s *Spec) gaussianState(ctx context.Context, tol float64, build func(*gaussian, acf.Model) error) (*gaussian, error) {
+	model, err := s.ACF.Model()
+	if err != nil {
+		return nil, err
+	}
+	trunc, err := core.TruncatedPlanForCtx(ctx, model, 0, tol)
+	if err != nil {
+		return nil, err
+	}
 	v, err := trunc.Derived(s.sharedKey(), func() (any, error) {
 		target, err := s.target()
 		if err != nil {
 			return nil, err
 		}
 		g := &gaussian{trunc: trunc, tr: transform.New(target), mean: target.Mean()}
-		if s.Engine == EngineBlock {
-			// NewEngine, not EngineFor: the engine must come from this
-			// spec's model, which the key pins and the truncation does not.
-			if g.eng, err = streamblock.NewEngine(model, trunc, streamblock.Config{}); err != nil {
-				return nil, err
-			}
-			if g.lut, err = g.tr.NewDefaultLUT(); err != nil {
+		if build != nil {
+			if err := build(g, model); err != nil {
 				return nil, err
 			}
 		}

@@ -2,7 +2,9 @@ package modelspec
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -102,7 +104,7 @@ func TestBlockEngineSeekResume(t *testing.T) {
 	}
 }
 
-// TestBlockEngineNextMatchesFill checks the per-frame and bulk paths of the
+// TestBlockEngineNextMatchesFill checks one-frame and bulk fills of the
 // block engine (LUT application included) agree bit-exactly.
 func TestBlockEngineNextMatchesFill(t *testing.T) {
 	const n = 1024
@@ -113,9 +115,11 @@ func TestBlockEngineNextMatchesFill(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	var frame [1]float64
 	for i := 0; i < n; i++ {
-		if v := st.Next(); math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("Next at %d: got %v, want %v", i, v, want[i])
+		st.Fill(frame[:])
+		if v := frame[0]; math.Float64bits(v) != math.Float64bits(want[i]) {
+			t.Fatalf("1-frame Fill at %d: got %v, want %v", i, v, want[i])
 		}
 	}
 }
@@ -144,20 +148,65 @@ func TestBlockEngineDiffersFromTruncated(t *testing.T) {
 	}
 }
 
-// TestEngineValidation locks the wire-format gate: unknown engine names
-// must be rejected at Validate/Parse time, and both known names accepted.
+// TestEngineValidation locks the wire-format gate: every engine in the
+// table accepts its own valid spec and rejects every other engine's config
+// block; unknown engine names are rejected at Validate/Parse time with a
+// message listing the table. The rows are keyed by the table, so an engine
+// cannot be added without a row here.
 func TestEngineValidation(t *testing.T) {
-	spec := Paper()
-	for _, ok := range []string{"", EngineTruncated, EngineBlock} {
-		spec.Engine = ok
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("engine %q rejected: %v", ok, err)
+	lognormal := &MarginalSpec{Kind: "lognormal", Mu: 9.6, Sigma: 0.4}
+	valid := map[string]Spec{
+		EngineTruncated: Paper(),
+		EngineBlock:     blockSpec(0),
+		EngineGOP:       {Engine: EngineGOP, GOP: &GOPSpec{}},
+		EngineTES:       {Engine: EngineTES, TES: &TESSpec{Alpha: 0.3}, Marginal: lognormal},
+	}
+	// withConfig attaches engine name's config block to spec.
+	withConfig := func(spec Spec, name string) Spec {
+		if v := valid[name]; v.GOP != nil {
+			spec.GOP = v.GOP
+		} else {
+			spec.TES = v.TES
 		}
+		return spec
+	}
+	for _, e := range engines {
+		spec, ok := valid[e.name]
+		if !ok {
+			t.Fatalf("engine %q has no test row", e.name)
+		}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("engine %q rejected its own spec: %v", e.name, err)
+		}
+		if e.hasConfig == nil {
+			continue
+		}
+		for _, o := range engines {
+			if o == e {
+				continue
+			}
+			bad := withConfig(valid[o.name], e.name)
+			err := bad.Validate()
+			if err == nil || !strings.Contains(err.Error(), e.name+" config requires engine") {
+				t.Fatalf("%s config on engine %q: err = %v", e.name, o.name, err)
+			}
+		}
+	}
+	spec := Paper()
+	spec.Engine = ""
+	if err := spec.Validate(); err != nil {
+		t.Fatalf("default engine rejected: %v", err)
 	}
 	for _, bad := range []string{"blocky", "BLOCK", "ar", "exact"} {
 		spec.Engine = bad
-		if err := spec.Validate(); err == nil {
+		err := spec.Validate()
+		if err == nil {
 			t.Fatalf("engine %q accepted", bad)
+		}
+		for _, e := range engines {
+			if !strings.Contains(err.Error(), fmt.Sprintf("%q", e.name)) {
+				t.Fatalf("unknown-engine error %q does not list %q", err, e.name)
+			}
 		}
 	}
 	if _, err := Parse([]byte(`{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10},"engine":"warp"}`)); err == nil {

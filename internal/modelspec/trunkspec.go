@@ -58,7 +58,9 @@ func (c TrunkComponent) resolved(shared *MarginalSpec) TrunkComponent {
 	if c.Count == 0 {
 		c.Count = 1
 	}
-	if c.Spec.Marginal == nil && shared != nil && c.Spec.Engine != EngineGOP {
+	// An unknown engine inherits too; Validate reports it as unknown.
+	e := engineFor(c.Spec.Engine)
+	if c.Spec.Marginal == nil && shared != nil && (e == nil || !e.ownMarginal) {
 		c.Spec.Marginal = shared
 	}
 	return c

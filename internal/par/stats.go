@@ -1,19 +1,16 @@
 package par
 
 import (
-	"context"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// RunStats describes one fan-out run (or, for Pool, an accumulation of
-// runs): how many workers actually ran, how many tasks they executed, the
-// peak number of concurrently running workers, and per-worker-slot busy
-// time. Collection costs two clock reads per worker per run and is only
-// paid when an observer or a stats-enabled Pool asks for it — the
-// default paths are untouched, and instrumentation never changes which
-// worker slot executes which job index, so results stay bit-identical.
+// RunStats describes one fan-out run: how many workers actually ran, how
+// many tasks they executed, the peak number of concurrently running
+// workers, and per-worker-slot busy time. Collection costs two clock reads
+// per worker per run and is only paid when an observer is installed, and
+// it never changes which worker slot executes which job index, so results
+// stay bit-identical.
 type RunStats struct {
 	Runs         int
 	Workers      int
@@ -42,12 +39,12 @@ func (s RunStats) Utilization() float64 {
 }
 
 // observer is the process-wide run observer. It is consulted once per
-// For/ForCtx call with a single atomic load, so the nil (disabled) case
+// For/ForChunks/ForCtx call with a single atomic load, so the nil (disabled) case
 // adds no allocations and no locks to the fan-out paths.
 var observer atomic.Pointer[func(RunStats)]
 
-// SetObserver installs fn to receive a RunStats after every For/ForCtx
-// run (nil uninstalls). Intended for a single consumer — trafficd's
+// SetObserver installs fn to receive a RunStats after every For,
+// ForChunks or ForCtx run (nil uninstalls). Intended for a single consumer — trafficd's
 // metrics layer or a CLI tracer; a later SetObserver replaces the earlier
 // one. fn must be safe for concurrent calls.
 func SetObserver(fn func(RunStats)) {
@@ -56,289 +53,4 @@ func SetObserver(fn func(RunStats)) {
 		return
 	}
 	observer.Store(&fn)
-}
-
-func notifyObserver(st RunStats) {
-	if p := observer.Load(); p != nil {
-		(*p)(st)
-	}
-}
-
-// instrumentedFor is For with stats collection. Chunking and the
-// worker-slot-to-index mapping are identical to For; only clock reads and
-// an in-flight counter are added.
-func instrumentedFor(workers, n int, fn func(worker, i int)) RunStats {
-	st := RunStats{Runs: 1, Workers: workers, Tasks: n, Busy: make([]time.Duration, workers)}
-	start := time.Now()
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		st.Busy[0] = time.Since(start)
-		st.PeakInFlight = 1
-		st.Wall = st.Busy[0]
-		return st
-	}
-	var inFlight, peak atomic.Int64
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cur := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				fn(w, i)
-			}
-			st.Busy[w] = time.Since(t0)
-			inFlight.Add(-1)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	st.PeakInFlight = int(peak.Load())
-	st.Wall = time.Since(start)
-	return st
-}
-
-// instrumentedForChunks is ForChunks with stats collection. Chunking and
-// the worker-slot-to-range mapping are identical to ForChunks; only clock
-// reads and an in-flight counter are added.
-func instrumentedForChunks(workers, n int, fn func(worker, lo, hi int)) RunStats {
-	st := RunStats{Runs: 1, Workers: workers, Tasks: n, Busy: make([]time.Duration, workers)}
-	start := time.Now()
-	if workers <= 1 {
-		fn(0, 0, n)
-		st.Busy[0] = time.Since(start)
-		st.PeakInFlight = 1
-		st.Wall = st.Busy[0]
-		return st
-	}
-	var inFlight, peak atomic.Int64
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cur := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			t0 := time.Now()
-			fn(w, lo, hi)
-			st.Busy[w] = time.Since(t0)
-			inFlight.Add(-1)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	st.PeakInFlight = int(peak.Load())
-	st.Wall = time.Since(start)
-	return st
-}
-
-// instrumentedForCtx mirrors ForCtx's cancellation and lowest-index error
-// semantics with stats collection.
-func instrumentedForCtx(ctx context.Context, workers, n int, fn func(worker, i int) error) (RunStats, error) {
-	st := RunStats{Runs: 1, Workers: workers, Tasks: n, Busy: make([]time.Duration, workers)}
-	start := time.Now()
-	if workers <= 1 {
-		var err error
-		for i := 0; i < n; i++ {
-			if err = ctx.Err(); err != nil {
-				break
-			}
-			if err = fn(0, i); err != nil {
-				break
-			}
-		}
-		st.Busy[0] = time.Since(start)
-		st.PeakInFlight = 1
-		st.Wall = st.Busy[0]
-		return st, err
-	}
-	chunk := (n + workers - 1) / workers
-	type failure struct {
-		i   int
-		err error
-	}
-	fails := make([]failure, workers)
-	for w := range fails {
-		fails[w].i = n
-	}
-	var inFlight, peak atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			cur := inFlight.Add(1)
-			for {
-				old := peak.Load()
-				if cur <= old || peak.CompareAndSwap(old, cur) {
-					break
-				}
-			}
-			t0 := time.Now()
-			for i := lo; i < hi; i++ {
-				if ctx.Err() != nil {
-					break
-				}
-				if err := fn(w, i); err != nil {
-					fails[w] = failure{i: i, err: err}
-					break
-				}
-			}
-			st.Busy[w] = time.Since(t0)
-			inFlight.Add(-1)
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	st.PeakInFlight = int(peak.Load())
-	st.Wall = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return st, err
-	}
-	first := failure{i: n}
-	for _, f := range fails {
-		if f.err != nil && f.i < first.i {
-			first = f
-		}
-	}
-	return st, first.err
-}
-
-// ---------------------------------------------------------------------------
-// Pool
-
-// Pool is a reusable fan-out front end that can accumulate RunStats across
-// runs: tasks executed, peak in-flight workers, and per-worker busy time.
-// Stats collection is off by default; when off, Pool.For/ForCtx are exactly
-// the package-level For/ForCtx (same chunking, same inline fast path), so
-// enabling stats later never changes results — only adds clock reads.
-type Pool struct {
-	workers int
-
-	mu      sync.Mutex
-	collect bool
-	acc     RunStats
-}
-
-// NewPool returns a pool that resolves its worker count per run via
-// Workers(workers, n).
-func NewPool(workers int) *Pool {
-	return &Pool{workers: workers}
-}
-
-// EnableStats turns accumulation on (true) or off (false). Toggling does
-// not reset previously accumulated stats; use Reset for that.
-func (p *Pool) EnableStats(on bool) {
-	p.mu.Lock()
-	p.collect = on
-	p.mu.Unlock()
-}
-
-// Reset clears the accumulated stats.
-func (p *Pool) Reset() {
-	p.mu.Lock()
-	p.acc = RunStats{}
-	p.mu.Unlock()
-}
-
-// Stats returns a copy of the stats accumulated so far.
-func (p *Pool) Stats() RunStats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := p.acc
-	out.Busy = append([]time.Duration(nil), p.acc.Busy...)
-	return out
-}
-
-func (p *Pool) absorb(st RunStats) {
-	p.mu.Lock()
-	p.acc.Runs += st.Runs
-	p.acc.Tasks += st.Tasks
-	if st.Workers > p.acc.Workers {
-		p.acc.Workers = st.Workers
-	}
-	if st.PeakInFlight > p.acc.PeakInFlight {
-		p.acc.PeakInFlight = st.PeakInFlight
-	}
-	for len(p.acc.Busy) < len(st.Busy) {
-		p.acc.Busy = append(p.acc.Busy, 0)
-	}
-	for i, b := range st.Busy {
-		p.acc.Busy[i] += b
-	}
-	p.acc.Wall += st.Wall
-	p.mu.Unlock()
-}
-
-// For runs fn over [0, n) with the pool's worker count.
-func (p *Pool) For(n int, fn func(worker, i int)) {
-	if n <= 0 {
-		return
-	}
-	w := Workers(p.workers, n)
-	p.mu.Lock()
-	collect := p.collect
-	p.mu.Unlock()
-	if !collect {
-		For(w, n, fn)
-		return
-	}
-	st := instrumentedFor(w, n, fn)
-	p.absorb(st)
-	notifyObserver(st)
-}
-
-// ForCtx runs fn over [0, n) with cancellation, like the package ForCtx.
-func (p *Pool) ForCtx(ctx context.Context, n int, fn func(worker, i int) error) error {
-	if n <= 0 {
-		return ctx.Err()
-	}
-	w := Workers(p.workers, n)
-	p.mu.Lock()
-	collect := p.collect
-	p.mu.Unlock()
-	if !collect {
-		return ForCtx(ctx, w, n, fn)
-	}
-	st, err := instrumentedForCtx(ctx, w, n, fn)
-	p.absorb(st)
-	notifyObserver(st)
-	return err
 }

@@ -4,32 +4,46 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"sync/atomic"
 	"testing"
 )
 
 // fanOutFill computes a deterministic per-index value; any change in which
 // job index produces which slot value is a bit-level diff.
-func fanOutFill(p *Pool, n int) []uint64 {
+func fanOutFill(workers, n int) []uint64 {
 	out := make([]uint64, n)
-	p.For(n, func(_, i int) {
+	For(workers, n, func(_, i int) {
 		v := math.Sin(float64(i)*1.618) * math.Exp(float64(i%17))
 		out[i] = math.Float64bits(v)
 	})
 	return out
 }
 
-// TestPoolStatsBitIdentity is the satellite gate: enabling stats must not
-// change fan-out results for any worker count.
-func TestPoolStatsBitIdentity(t *testing.T) {
+// observe installs an observer that records every run until the test ends.
+// Tests using it are not parallel: the observer is process-wide.
+func observe(t *testing.T) *[]RunStats {
+	var mu sync.Mutex
+	var runs []RunStats
+	SetObserver(func(st RunStats) {
+		mu.Lock()
+		runs = append(runs, st)
+		mu.Unlock()
+	})
+	t.Cleanup(func() { SetObserver(nil) })
+	return &runs
+}
+
+// TestObserverStatsBitIdentity: collecting stats must not change fan-out
+// results for any worker count, and each run reports sane stats.
+func TestObserverStatsBitIdentity(t *testing.T) {
 	const n = 257 // odd length so chunks are ragged
 	for workers := 1; workers <= 8; workers++ {
-		plain := NewPool(workers)
-		want := fanOutFill(plain, n)
+		want := fanOutFill(workers, n)
 
-		stats := NewPool(workers)
-		stats.EnableStats(true)
-		got := fanOutFill(stats, n)
+		runs := observe(t)
+		got := fanOutFill(workers, n)
+		SetObserver(nil)
 
 		for i := range want {
 			if got[i] != want[i] {
@@ -37,7 +51,10 @@ func TestPoolStatsBitIdentity(t *testing.T) {
 					workers, i, got[i], want[i])
 			}
 		}
-		st := stats.Stats()
+		if len(*runs) != 1 {
+			t.Fatalf("workers=%d: observer saw %d runs, want 1", workers, len(*runs))
+		}
+		st := (*runs)[0]
 		if st.Tasks != n {
 			t.Fatalf("workers=%d: tasks = %d, want %d", workers, st.Tasks, n)
 		}
@@ -47,44 +64,35 @@ func TestPoolStatsBitIdentity(t *testing.T) {
 		if len(st.Busy) != Workers(workers, n) {
 			t.Fatalf("workers=%d: busy slots = %d", workers, len(st.Busy))
 		}
-		if plain.Stats().Tasks != 0 {
-			t.Fatal("stats accumulated with collection disabled")
+		if st.BusyTotal() < 0 || st.Utilization() < 0 || st.Utilization() > 1.000001 {
+			t.Fatalf("workers=%d: derived stats out of range: busy=%v util=%v",
+				workers, st.BusyTotal(), st.Utilization())
 		}
 	}
 }
 
-func TestPoolStatsAccumulate(t *testing.T) {
-	p := NewPool(4)
-	p.EnableStats(true)
-	p.For(100, func(_, _ int) {})
-	if err := p.ForCtx(context.Background(), 50, func(_, _ int) error { return nil }); err != nil {
-		t.Fatal(err)
-	}
-	st := p.Stats()
-	if st.Runs != 2 || st.Tasks != 150 {
-		t.Fatalf("accumulated stats = %+v", st)
-	}
-	if st.BusyTotal() < 0 || st.Utilization() < 0 || st.Utilization() > 1.000001 {
-		t.Fatalf("derived stats out of range: busy=%v util=%v", st.BusyTotal(), st.Utilization())
-	}
-	p.Reset()
-	if p.Stats().Tasks != 0 {
-		t.Fatal("Reset did not clear stats")
-	}
-}
-
-func TestPoolForCtxErrorWithStats(t *testing.T) {
-	p := NewPool(4)
-	p.EnableStats(true)
-	boom := errors.New("boom")
-	err := p.ForCtx(context.Background(), 100, func(_, i int) error {
-		if i == 31 || i == 77 {
-			return boom
+// TestObserverForCtxErrorWithStats: with stats collected, ForCtx keeps its
+// lowest-index error for any worker count.
+func TestObserverForCtxErrorWithStats(t *testing.T) {
+	errLow := errors.New("low")
+	errHigh := errors.New("high")
+	runs := observe(t)
+	for _, workers := range []int{1, 2, 4, 8} {
+		err := ForCtx(context.Background(), workers, 100, func(_, i int) error {
+			switch i {
+			case 31:
+				return errLow
+			case 77:
+				return errHigh
+			}
+			return nil
+		})
+		if !errors.Is(err, errLow) {
+			t.Fatalf("workers=%d: err = %v, want lowest-index error", workers, err)
 		}
-		return nil
-	})
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
+	}
+	if len(*runs) != 4 {
+		t.Fatalf("observer saw %d runs, want 4", len(*runs))
 	}
 }
 

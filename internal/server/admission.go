@@ -15,59 +15,18 @@ import (
 // streams that make up the bulk of a large fleet. Rejections are 429 with
 // a Retry-After hint; draining stays 503.
 
-// Engine cost classes, in session units: the relative steady-state expense
-// of holding one open session of each engine (per-frame work plus resident
-// state). The truncated engine carries an O(p) AR recursion and history
-// (p≈361 for the paper model); the block engine amortizes FFT blocks with
-// an arena; gop and tes are O(1) per frame with tiny state.
-const (
-	costTES       = 1.0
-	costGOP       = 2.0
-	costBlock     = 4.0
-	costTruncated = 8.0
-	// costTrunkBase is the fixed overhead of a trunk session (slab, fan-out
-	// bookkeeping) on top of its per-source costs.
-	costTrunkBase = 2.0
-)
-
-// kneeCostUnit scales the composite-ACF knee into the plan-size factor:
-// the knee bounds the exponential-mixture region the AR plan must resolve,
-// so it is the cheapest spec-only proxy for truncation order.
-const kneeCostUnit = 256.0
-
-// estimateStreamCost scores a validated stream spec in session units:
-// engine class × plan-size factor. It sees only the spec (no plan is
-// built), so admission can reject before any expensive work happens.
-func estimateStreamCost(spec *modelspec.Spec) float64 {
-	switch spec.Engine {
-	case modelspec.EngineGOP:
-		return costGOP
-	case modelspec.EngineTES:
-		return costTES
-	}
-	class := costTruncated
-	if spec.Engine == modelspec.EngineBlock {
-		class = costBlock
-	}
-	return class * planFactor(spec.ACF)
-}
-
-// planFactor grows the Gaussian-engine cost with the correlation length
-// the plan must resolve. Composite specs scale with the knee; the other
-// ACF families (farima, fgn) have no spec-level length knob and score 1.
-func planFactor(acf modelspec.ACFSpec) float64 {
-	if acf.Knee > 0 {
-		return 1 + float64(acf.Knee)/kneeCostUnit
-	}
-	return 1
-}
+// costTrunkBase is the fixed overhead of a trunk session (slab, fan-out
+// bookkeeping), in session units, on top of its per-source costs. Stream
+// costs come from the spec (modelspec.Spec.Cost): the engine's cost class
+// times a plan-size factor.
+const costTrunkBase = 2.0
 
 // estimateTrunkCost scores a trunk spec: base overhead plus every
 // flattened component source at its own engine cost.
 func estimateTrunkCost(spec *modelspec.TrunkSpec) float64 {
 	cost := costTrunkBase
 	for _, c := range spec.Resolved() {
-		cost += float64(c.Count) * estimateStreamCost(&c.Spec)
+		cost += float64(c.Count) * c.Spec.Cost()
 	}
 	return cost
 }

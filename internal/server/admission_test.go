@@ -9,8 +9,9 @@ import (
 	"vbrsim/internal/modelspec"
 )
 
-// TestEstimateStreamCost pins the per-engine cost table and the plan-size
-// factor: costs are spec-only (no plan is built), so these are pure.
+// TestEstimateStreamCost pins the per-engine cost classes and the plan-size
+// factor of modelspec.Spec.Cost, which admission charges per stream: costs
+// are spec-only (no plan is built), so these are pure.
 func TestEstimateStreamCost(t *testing.T) {
 	composite := func(knee int) modelspec.ACFSpec {
 		return modelspec.ACFSpec{Kind: "composite", Knee: knee}
@@ -27,10 +28,10 @@ func TestEstimateStreamCost(t *testing.T) {
 		{"truncated no knee", modelspec.Spec{Engine: modelspec.EngineTruncated}, 8},
 		{"truncated default engine", modelspec.Spec{}, 8},
 		{"truncated knee 512", modelspec.Spec{Engine: modelspec.EngineTruncated, ACF: composite(512)}, 24},
-		{"paper model", modelspec.Paper(), 8 * (1 + float64(modelspec.Paper().ACF.Knee)/kneeCostUnit)},
+		{"paper model", modelspec.Paper(), 8 * (1 + float64(modelspec.Paper().ACF.Knee)/256)},
 	}
 	for _, tc := range cases {
-		if got := estimateStreamCost(&tc.spec); got != tc.want {
+		if got := tc.spec.Cost(); got != tc.want {
 			t.Errorf("%s: cost %v, want %v", tc.name, got, tc.want)
 		}
 	}
@@ -45,7 +46,7 @@ func TestEstimateTrunkCost(t *testing.T) {
 			{Count: 2, Spec: modelspec.Spec{Engine: modelspec.EngineBlock}},
 		},
 	}
-	want := costTrunkBase + 3*costTES + 2*costBlock
+	want := costTrunkBase + 3*1.0 + 2*4.0 // three tes, two block sources
 	if got := estimateTrunkCost(&spec); got != want {
 		t.Fatalf("trunk cost %v, want %v", got, want)
 	}

@@ -54,7 +54,7 @@ type Options struct {
 	// different sessions contend only 1/Shards of the time. Default 16.
 	Shards int
 	// MaxCost is the admission-control budget in session cost units (see
-	// estimateStreamCost). 0 derives a budget from MaxSessions generous
+	// modelspec.Spec.Cost). 0 derives a budget from MaxSessions generous
 	// enough that cost never binds before the session cap for typical
 	// single-source fleets; set it explicitly to make cost-aware shedding
 	// the primary limit (trunk-heavy workloads).

@@ -224,7 +224,7 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	// Admission happens before the expensive plan acquisition: the cost is
 	// estimated from the spec alone, so a doomed request never builds a
 	// plan or touches an arena.
-	cost := estimateStreamCost(&spec)
+	cost := spec.Cost()
 	if err := s.adm.reserve(cost); err != nil {
 		s.rejectCreate(w, err)
 		return

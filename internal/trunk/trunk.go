@@ -60,6 +60,9 @@ type Trunk struct {
 	pos     int
 	workers int
 	mean    float64
+	// misaligned is set when a SeekCtx failed part-way, leaving components
+	// at mixed positions; the next Fill seeks them all back to pos first.
+	misaligned bool
 
 	comps   []*modelspec.Stream
 	weights []float64 // per flattened source, component order
@@ -185,6 +188,7 @@ func (t *Trunk) MaxACFError() float64 {
 func (t *Trunk) Reseed(base uint64) {
 	t.seed = base
 	t.pos = 0
+	t.misaligned = false
 	for i, st := range t.comps {
 		st.Reseed(SourceSeed(base, i))
 	}
@@ -194,7 +198,7 @@ func (t *Trunk) Reseed(base uint64) {
 // Next/Fill access patterns stay bit-identical.
 func (t *Trunk) Next() float64 {
 	var out [1]float64
-	t.fillChunk(out[:])
+	t.Fill(out[:])
 	return out[0]
 }
 
@@ -202,6 +206,9 @@ func (t *Trunk) Next() float64 {
 // component streams out across the par pool in trunkChunk rounds. Zero
 // allocations in steady state.
 func (t *Trunk) Fill(out []float64) {
+	if t.misaligned {
+		t.SeekCtx(context.Background(), t.pos)
+	}
 	for len(out) > 0 {
 		n := len(out)
 		if n > trunkChunk {
@@ -238,8 +245,9 @@ func (t *Trunk) Seek(pos int) { t.SeekCtx(context.Background(), pos) }
 
 // SeekCtx is Seek with cancellation: the component seeks fan out on the par
 // pool (block components seek in O(1); replay components poll ctx). On
-// error the components may sit at mixed positions, but every component
-// seeks absolutely, so a later SeekCtx fully realigns the trunk.
+// error Pos is unchanged but the components may sit at mixed positions;
+// every component seeks absolutely, so the next Fill (or a later SeekCtx)
+// realigns them to Pos before producing a frame.
 func (t *Trunk) SeekCtx(ctx context.Context, pos int) error {
 	if pos < 0 {
 		pos = 0
@@ -249,8 +257,10 @@ func (t *Trunk) SeekCtx(ctx context.Context, pos int) error {
 		return t.comps[c].SeekCtx(ctx, pos)
 	})
 	if err != nil {
+		t.misaligned = true
 		return err
 	}
 	t.pos = pos
+	t.misaligned = false
 	return nil
 }

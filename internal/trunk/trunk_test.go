@@ -144,6 +144,53 @@ func TestTrunkSeekResumeBitIdentical(t *testing.T) {
 	}
 }
 
+// flakyCtx reports no error for its first ok Err calls, then Canceled: a
+// cancellation that lands part-way through a multi-component seek.
+type flakyCtx struct {
+	context.Context
+	ok int
+}
+
+func (c *flakyCtx) Err() error {
+	if c.ok > 0 {
+		c.ok--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestTrunkCancelledSeekKeepsPos: a seek cancelled after some components
+// moved must leave Pos describing what Fill produces next. Here the block
+// component jumps to the target before the truncated component's replay
+// sees the cancellation.
+func TestTrunkCancelledSeekKeepsPos(t *testing.T) {
+	paper := modelspec.Paper()
+	spec := &modelspec.TrunkSpec{
+		Seed: 3,
+		Components: []modelspec.TrunkComponent{
+			{Spec: modelspec.Spec{ACF: paper.ACF, Marginal: paper.Marginal, Engine: modelspec.EngineBlock}},
+			{Spec: modelspec.Spec{ACF: paper.ACF, Marginal: paper.Marginal}},
+		},
+	}
+	const n = 256
+	want := make([]float64, n)
+	openTrunk(t, spec, Options{Workers: 1}).Fill(want)
+
+	tr := openTrunk(t, spec, Options{Workers: 1})
+	ctx := &flakyCtx{Context: context.Background(), ok: 2}
+	if err := tr.SeekCtx(ctx, 100000); err == nil {
+		t.Fatal("cancelled seek reported success")
+	}
+	if tr.Pos() != 0 {
+		t.Fatalf("Pos after cancelled seek = %d, want 0", tr.Pos())
+	}
+	got := make([]float64, n)
+	tr.Fill(got)
+	if !bitsEqual(got, want) {
+		t.Fatal("frames after a cancelled seek differ from frames [0, 256)")
+	}
+}
+
 func TestTrunkNextMatchesFill(t *testing.T) {
 	spec := mixedSpec(3)
 	a := openTrunk(t, spec, Options{})

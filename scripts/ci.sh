@@ -26,6 +26,12 @@ go test -race -short ./...
 echo "== go test"
 go test ./...
 
+echo "== benchmark module tests"
+# benchmark/ is its own module, so the root go test never compiles it; it
+# drives modelspec, server and statmon directly, so an API change there
+# must not break it unnoticed.
+(cd benchmark && go test ./...)
+
 echo "== shard gates"
 # The sharded-registry invariants at full strength (the -short run above
 # uses reduced iterations): shard topology must be invisible on the wire
