@@ -267,6 +267,25 @@ func TestTrunkSpecValidate(t *testing.T) {
 	}
 }
 
+// TestEstimateTrunkCost checks the trunk admission score: fixed base plus
+// every flattened source at its own engine cost.
+func TestEstimateTrunkCost(t *testing.T) {
+	spec := TrunkSpec{
+		Components: []TrunkComponent{
+			{Count: 3, Spec: Spec{Engine: EngineTES}},
+			{Count: 2, Spec: Spec{Engine: EngineBlock}},
+		},
+	}
+	want := trunkBaseCost + 3*1.0 + 2*4.0 // three tes, two block sources
+	if got := spec.Cost(); got != want {
+		t.Fatalf("trunk cost %v, want %v", got, want)
+	}
+	empty := TrunkSpec{}
+	if got := empty.Cost(); got != trunkBaseCost {
+		t.Fatalf("empty trunk cost %v, want %v", got, trunkBaseCost)
+	}
+}
+
 func TestParseTrunkRejectsUnknownFields(t *testing.T) {
 	if _, err := ParseTrunk([]byte(`{"components":[{"spec":{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10}}}],"sources":3}`)); err == nil {
 		t.Error("unknown trunk field accepted")

@@ -92,6 +92,22 @@ func (t *TrunkSpec) NumSources() int {
 	return n
 }
 
+// trunkBaseCost is the fixed overhead of a trunk session (slab, fan-out
+// bookkeeping), in admission session units, on top of its per-source costs.
+const trunkBaseCost = 2.0
+
+// Cost scores the trunk for admission control like Spec.Cost: the fixed
+// base plus every flattened source at its own engine cost, so a
+// 4096-source superposition is shed under pressure while plain streams
+// keep landing. It reads only the spec; the spec must be valid.
+func (t *TrunkSpec) Cost() float64 {
+	cost := trunkBaseCost
+	for _, c := range t.Resolved() {
+		cost += float64(c.Count) * c.Spec.Cost()
+	}
+	return cost
+}
+
 // Validate checks the trunk without building plans: at least one source,
 // positive weights, non-negative counts, a bounded flattened source total,
 // derived-only component seeds, and per-component spec validity (with the

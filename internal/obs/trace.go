@@ -19,6 +19,7 @@ type Tracer struct {
 	mu     sync.Mutex
 	w      io.Writer // nil: collect-only (manifest rollup without a stream)
 	start  time.Time
+	retain bool // keep spans and events for Spans and Manifest
 	spans  []SpanRecord
 	events []map[string]any
 }
@@ -45,9 +46,17 @@ type Span struct {
 	allocBytes uint64
 }
 
-// NewTracer returns a tracer that streams completed spans to w as NDJSON;
-// a nil w collects spans for the manifest without streaming.
+// NewTracer returns a tracer that streams completed spans to w as NDJSON
+// and keeps them for the manifest; a nil w collects without streaming.
 func NewTracer(w io.Writer) *Tracer {
+	return &Tracer{w: w, start: time.Now(), retain: true}
+}
+
+// NewStreamTracer returns a tracer that only streams to w and keeps
+// nothing, for a long-running owner that never builds a manifest (a
+// daemon's access log): its memory stays flat however many spans and
+// events pass through. Spans and Manifest report none.
+func NewStreamTracer(w io.Writer) *Tracer {
 	return &Tracer{w: w, start: time.Now()}
 }
 
@@ -81,7 +90,9 @@ func (s *Span) End(attrs map[string]any) {
 	}
 	t := s.t
 	t.mu.Lock()
-	t.spans = append(t.spans, rec)
+	if t.retain {
+		t.spans = append(t.spans, rec)
+	}
 	w := t.w
 	if w != nil {
 		b, err := json.Marshal(rec)
@@ -94,7 +105,8 @@ func (s *Span) End(attrs map[string]any) {
 }
 
 // Event records a one-off occurrence (e.g. a worker-pool run report) as an
-// NDJSON line and keeps it for the manifest. Nil-safe.
+// NDJSON line and, unless the tracer only streams, keeps it for the
+// manifest. Nil-safe.
 func (t *Tracer) Event(kind string, attrs map[string]any) {
 	if t == nil {
 		return
@@ -104,7 +116,9 @@ func (t *Tracer) Event(kind string, attrs map[string]any) {
 		rec[k] = v
 	}
 	t.mu.Lock()
-	t.events = append(t.events, rec)
+	if t.retain {
+		t.events = append(t.events, rec)
+	}
 	if t.w != nil {
 		b, err := json.Marshal(rec)
 		if err == nil {

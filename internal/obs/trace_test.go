@@ -58,6 +58,24 @@ func TestTracerStreamsNDJSON(t *testing.T) {
 	}
 }
 
+// TestStreamTracerKeepsNothing checks the streaming-only tracer writes the
+// same lines as a retaining one but keeps no spans or events.
+func TestStreamTracerKeepsNothing(t *testing.T) {
+	var buf strings.Builder
+	tr := NewStreamTracer(&buf)
+	for i := 0; i < 100; i++ {
+		tr.Start("plan").End(nil)
+		tr.Event("access", map[string]any{"i": i})
+	}
+	if lines := strings.Count(buf.String(), "\n"); lines != 200 {
+		t.Fatalf("streamed %d lines, want 200", lines)
+	}
+	m := tr.Manifest("trafficd", nil, 0, nil, nil)
+	if len(tr.Spans()) != 0 || len(m.Stages) != 0 || len(m.Events) != 0 {
+		t.Fatalf("stream tracer kept %d spans, %d events", len(m.Stages), len(m.Events))
+	}
+}
+
 func TestTracerContextRoundTrip(t *testing.T) {
 	tr := NewTracer(nil)
 	ctx := ContextWithTracer(context.Background(), tr)

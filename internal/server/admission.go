@@ -1,35 +1,17 @@
 package server
 
 import (
-	"errors"
 	"fmt"
 	"sync"
-
-	"vbrsim/internal/modelspec"
 )
 
 // Admission control sheds load by estimated model cost, not arrival order:
-// every create carries a cost in session units (below), the server holds a
+// every create carries a cost in session units (modelspec.Spec.Cost and
+// modelspec.TrunkSpec.Cost, read from the spec alone), the server holds a
 // fixed cost budget, and as the budget fills the maximum admissible cost
 // shrinks, so a burst of expensive superpositions cannot starve the cheap
 // streams that make up the bulk of a large fleet. Rejections are 429 with
 // a Retry-After hint; draining stays 503.
-
-// costTrunkBase is the fixed overhead of a trunk session (slab, fan-out
-// bookkeeping), in session units, on top of its per-source costs. Stream
-// costs come from the spec (modelspec.Spec.Cost): the engine's cost class
-// times a plan-size factor.
-const costTrunkBase = 2.0
-
-// estimateTrunkCost scores a trunk spec: base overhead plus every
-// flattened component source at its own engine cost.
-func estimateTrunkCost(spec *modelspec.TrunkSpec) float64 {
-	cost := costTrunkBase
-	for _, c := range spec.Resolved() {
-		cost += float64(c.Count) * c.Spec.Cost()
-	}
-	return cost
-}
 
 // admission reject reasons (the reason label on
 // vbrsim_server_admission_rejects_total).
@@ -79,7 +61,7 @@ func newAdmission(budget float64, maxSessions int) *admission {
 // requests at most half the remaining budget get in — so under pressure
 // admissibility is monotone in cost: any request cheaper than an admitted
 // one would also have been admitted.
-func (a *admission) reserve(cost float64) error {
+func (a *admission) reserve(cost float64) *admitError {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if a.draining {
@@ -137,11 +119,4 @@ func (a *admission) usedCost() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.used
-}
-
-// asAdmitError unwraps an admission rejection.
-func asAdmitError(err error) (*admitError, bool) {
-	var ae *admitError
-	ok := errors.As(err, &ae)
-	return ae, ok
 }

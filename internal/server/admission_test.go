@@ -37,25 +37,6 @@ func TestEstimateStreamCost(t *testing.T) {
 	}
 }
 
-// TestEstimateTrunkCost checks the trunk score: fixed base plus every
-// flattened source at its own engine cost.
-func TestEstimateTrunkCost(t *testing.T) {
-	spec := modelspec.TrunkSpec{
-		Components: []modelspec.TrunkComponent{
-			{Count: 3, Spec: modelspec.Spec{Engine: modelspec.EngineTES}},
-			{Count: 2, Spec: modelspec.Spec{Engine: modelspec.EngineBlock}},
-		},
-	}
-	want := costTrunkBase + 3*1.0 + 2*4.0 // three tes, two block sources
-	if got := estimateTrunkCost(&spec); got != want {
-		t.Fatalf("trunk cost %v, want %v", got, want)
-	}
-	empty := modelspec.TrunkSpec{}
-	if got := estimateTrunkCost(&empty); got != costTrunkBase {
-		t.Fatalf("empty trunk cost %v, want %v", got, costTrunkBase)
-	}
-}
-
 // TestAdmissionReserveRelease walks the gate through its rejection ladder:
 // budget, pressure, cap, drain — and checks release restores capacity.
 func TestAdmissionReserveRelease(t *testing.T) {
@@ -76,20 +57,20 @@ func TestAdmissionReserveRelease(t *testing.T) {
 	// Session cap (3) is absolute regardless of cost.
 	if err := a.reserve(0.01); err == nil {
 		t.Fatal("4th session admitted past the cap")
-	} else if ae, _ := asAdmitError(err); ae == nil || ae.reason != rejectCap {
+	} else if err.reason != rejectCap {
 		t.Fatalf("cap rejection reason = %v", err)
 	}
 	a.release(0.4)
 	// Budget rejection: cost beyond what remains.
 	if err := a.reserve(2); err == nil {
 		t.Fatal("cost 2 with 1 remaining admitted")
-	} else if ae, _ := asAdmitError(err); ae == nil || ae.reason != rejectBudget {
+	} else if err.reason != rejectBudget {
 		t.Fatalf("budget rejection reason = %v", err)
 	}
 	// Pressure rejection: fits the budget but over half the remainder.
 	if err := a.reserve(0.9); err == nil {
 		t.Fatal("cost 0.9 over the pressure limit admitted")
-	} else if ae, _ := asAdmitError(err); ae == nil || ae.reason != rejectPressure {
+	} else if err.reason != rejectPressure {
 		t.Fatalf("pressure rejection reason = %v", err)
 	}
 	a.release(60)
@@ -100,7 +81,7 @@ func TestAdmissionReserveRelease(t *testing.T) {
 	a.beginDrain()
 	if err := a.reserve(1); err == nil {
 		t.Fatal("reserve admitted while draining")
-	} else if ae, _ := asAdmitError(err); ae == nil || ae.reason != rejectDrain {
+	} else if err.reason != rejectDrain {
 		t.Fatalf("drain rejection reason = %v", err)
 	}
 }
@@ -228,8 +209,8 @@ func TestAdmissionBudgetShedsTrunks(t *testing.T) {
 			{Count: 8, Spec: modelspec.Spec{ACF: paper.ACF, Marginal: paper.Marginal}},
 		},
 	}
-	if estimateTrunkCost(bigTrunk) <= 20 {
-		t.Fatalf("test trunk cost %v not over the %v budget", estimateTrunkCost(bigTrunk), 20.0)
+	if bigTrunk.Cost() <= 20 {
+		t.Fatalf("test trunk cost %v not over the %v budget", bigTrunk.Cost(), 20.0)
 	}
 	resp := postJSON(t, ts.URL+"/v1/trunks", bigTrunk)
 	io.Copy(io.Discard, resp.Body)

@@ -10,7 +10,7 @@ import (
 )
 
 // The x-vbrsim-frames wire format is the length-prefixed binary frame
-// protocol served next to NDJSON and the raw float64 stream. A response
+// protocol, one of the two frame encodings next to NDJSON. A response
 // body is a sequence of records:
 //
 //	uint32 LE  count      number of frames in this record (1..MaxFrameRecord)
@@ -18,9 +18,8 @@ import (
 //
 // followed by one terminator record with count == 0 when the server has
 // written every requested frame. The terminator lets a client distinguish
-// a complete response from a connection that died mid-stream: raw float64
-// bodies (application/octet-stream) are indistinguishable from truncated
-// ones at any 8-byte boundary, records are not. Frames inside a record are
+// a complete response from a connection that died mid-stream, which a bare
+// float64 body cannot at any 8-byte boundary. Frames inside a record are
 // bit-exact: the encoding round-trips NaN payloads and signed zeros.
 //
 // Records are bounded so a decoder never trusts an attacker-controlled

@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -308,8 +307,7 @@ func runQsim(ctx context.Context, req JobRequest, mt *metrics) (any, error) {
 
 func (s *Server) handleJobCreate(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	switch req.Kind {

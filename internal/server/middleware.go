@@ -47,15 +47,17 @@ func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 			s.metrics.httpErrors.With(endpoint).Inc()
 		}
 		s.metrics.httpSeconds.With(endpoint).Observe(seconds)
-		s.access.Event("access", map[string]any{
-			"req_id":   id,
-			"method":   r.Method,
-			"path":     r.URL.Path,
-			"endpoint": endpoint,
-			"status":   sw.code,
-			"seconds":  seconds,
-			"bytes":    sw.bytes,
-		})
+		if s.access != nil {
+			s.access.Event("access", map[string]any{
+				"req_id":   id,
+				"method":   r.Method,
+				"path":     r.URL.Path,
+				"endpoint": endpoint,
+				"status":   sw.code,
+				"seconds":  seconds,
+				"bytes":    sw.bytes,
+			})
+		}
 	})
 }
 

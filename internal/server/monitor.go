@@ -1,6 +1,7 @@
 package server
 
 import (
+	"slices"
 	"time"
 
 	"vbrsim/internal/modelspec"
@@ -14,27 +15,27 @@ import (
 // contiguous only within one chunk).
 const monitorACFLen = streamChunk + 1
 
-// statmonConfig maps server options to a monitor config. The zero fields
-// fall through to statmon's documented defaults.
-func (s *Server) statmonConfig() statmon.Config {
-	return statmon.Config{
-		SampleEvery:    s.opt.StatmonSampleEvery,
-		DriftThreshold: s.opt.StatmonDriftThreshold,
-		MaxScale:       streamChunk,
-	}
-}
-
-// newStreamMonitor builds the statistical monitor for a plain stream
-// session: the reference is everything the spec claims analytically — the
-// target Hurst parameter, the ACF-implied asymptotic H, the model-implied
-// autocorrelation of served traffic, and the marginal quantile function.
-// Engines without analytic references (GOP, TES autocorrelation) get a
-// partially-filled Ref; statmon switches the corresponding checks off.
-// Returns nil when statmon is disabled (StatmonSampleEvery < 0).
-func (s *Server) newStreamMonitor(spec *modelspec.Spec, stream *modelspec.Stream) *statmon.Monitor {
+// newMonitor builds a session's statistical monitor scored against ref,
+// or returns nil when statmon is disabled (StatmonSampleEvery < 0).
+func (s *Server) newMonitor(ref statmon.Ref) *statmon.Monitor {
 	if s.opt.StatmonSampleEvery < 0 {
 		return nil
 	}
+	// Zero config fields fall through to statmon's documented defaults.
+	return statmon.New(statmon.Config{
+		SampleEvery:    s.opt.StatmonSampleEvery,
+		DriftThreshold: s.opt.StatmonDriftThreshold,
+		MaxScale:       streamChunk,
+	}, ref)
+}
+
+// streamRef is the reference of a plain stream session: everything the
+// spec claims analytically — the target Hurst parameter, the ACF-implied
+// asymptotic H, the model-implied autocorrelation of served traffic, and
+// the marginal quantile function. Engines without analytic references
+// (GOP, TES autocorrelation) get a partially-filled Ref; statmon switches
+// the corresponding checks off.
+func streamRef(spec *modelspec.Spec, stream *modelspec.Stream) statmon.Ref {
 	ref := statmon.Ref{
 		H:          spec.TargetHurst(),
 		AsymH:      spec.ACF.AsymptoticHurst(),
@@ -44,18 +45,7 @@ func (s *Server) newStreamMonitor(spec *modelspec.Spec, stream *modelspec.Stream
 	if marg := stream.Marginal(); marg != nil {
 		ref.Quantile = marg.Quantile
 	}
-	return statmon.New(s.statmonConfig(), ref)
-}
-
-// newTrunkMonitor builds the monitor for a superposition session. The
-// aggregate's moments are not exposed analytically, so the Ref is empty:
-// the monitor tracks observed statistics (mean, variance, Hurst, ACF,
-// quantiles) for the stats endpoint but never scores drift.
-func (s *Server) newTrunkMonitor() *statmon.Monitor {
-	if s.opt.StatmonSampleEvery < 0 {
-		return nil
-	}
-	return statmon.New(s.statmonConfig(), statmon.Ref{})
+	return ref
 }
 
 // ---------------------------------------------------------------------------
@@ -87,18 +77,35 @@ func (s *Server) statmonRollup() statmonFleet {
 		return s.roll
 	}
 	s.rollAt = now
-	var f statmonFleet
+	s.roll = s.foldFleet().Statmon
+	return s.roll
+}
+
+// foldFleet walks the registry once and fills the fleet part of a status
+// report: live and trunk session counts, the statmon aggregate over live
+// monitored sessions, and the drifting session IDs in ID order.
+func (s *Server) foldFleet() StatusReport {
+	var rep StatusReport
+	f := &rep.Statmon
 	for _, ss := range s.reg.list() {
 		ss.mu.Lock()
 		mon, closed := ss.mon, ss.closed
 		ss.mu.Unlock()
-		if mon == nil || closed {
+		if closed {
+			continue
+		}
+		rep.Sessions++
+		if kind, _ := ss.kind(); kind == sessionKindTrunk {
+			rep.TrunkSessions++
+		}
+		if mon == nil {
 			continue
 		}
 		snap := mon.Snapshot()
 		f.Monitored++
 		if snap.Drifting {
 			f.Drifting++
+			rep.DriftingIDs = append(rep.DriftingIDs, ss.id)
 		}
 		if snap.HurstValid {
 			f.MeanHurst += snap.Hurst
@@ -114,8 +121,8 @@ func (s *Server) statmonRollup() statmonFleet {
 	if f.hurstN > 0 {
 		f.MeanHurst /= float64(f.hurstN)
 	}
-	s.roll = f
-	return f
+	slices.SortFunc(rep.DriftingIDs, compareSessionIDs)
+	return rep
 }
 
 // registerStatmonGauges exports the fleet rollup. Gauges, not per-session

@@ -1,7 +1,7 @@
 // Package server implements trafficd, the streaming VBR-traffic service:
 // named generation sessions streaming bytes-per-frame over HTTP (NDJSON or
-// binary float64), an async job queue for fitting and overflow estimation,
-// and Prometheus-style observability.
+// the length-prefixed x-vbrsim-frames records), an async job queue for
+// fitting and overflow estimation, and Prometheus-style observability.
 //
 // The HTTP surface:
 //
@@ -13,7 +13,8 @@
 //	GET    /v1/streams                   list sessions
 //	GET    /v1/streams/{id}              session state
 //	DELETE /v1/streams/{id}              close a session
-//	GET    /v1/streams/{id}/frames?n=N   stream N frames (&from=K to seek)
+//	GET    /v1/streams/{id}/frames?n=N   stream N frames (&from=K to seek,
+//	                                     &format=frames|ndjson)
 //	GET    /v1/sessions/{id}/stats       live statistical-monitor snapshot
 //	GET    /v1/status                    fleet rollup (sessions, drift)
 //	POST   /v1/jobs                      submit fit / qsim-mc / qsim-is
@@ -196,7 +197,7 @@ func New(opt Options) *Server {
 		started: time.Now(),
 	}
 	if opt.AccessLog != nil {
-		s.access = obs.NewTracer(opt.AccessLog)
+		s.access = obs.NewStreamTracer(opt.AccessLog)
 	}
 	s.reg = newSessionRegistry(opt.Shards, func(shard, active int) {
 		s.metrics.shardSessions.With(shardLabel(shard)).Set(float64(active))
@@ -302,12 +303,8 @@ func (s *Server) evictIdleOnce() int {
 	begin := time.Now()
 	cutoff := begin.Add(-s.opt.IdleTimeout)
 	n := s.reg.evictIdle(cutoff, func(ss *session) {
-		s.adm.release(ss.cost)
-		s.metrics.sessionsActive.Add(-1)
+		s.retire(ss)
 		s.metrics.evictions.Inc()
-		if ss.kind == sessionKindTrunk {
-			s.metrics.trunkSessions.Add(-1)
-		}
 	})
 	s.metrics.sweepSeconds.Observe(time.Since(begin).Seconds())
 	s.metrics.sessionsSwept.Add(float64(n))

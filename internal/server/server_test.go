@@ -4,12 +4,10 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -136,37 +134,6 @@ func TestStreamMatchesOfflineAndResumes(t *testing.T) {
 	for i := range replay {
 		if replay[i] != want[100+i] {
 			t.Fatalf("replayed frame %d: %v, want %v", 100+i, replay[i], want[100+i])
-		}
-	}
-}
-
-func TestStreamBinaryEncoding(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	spec := paperSpec(77)
-	info := createStream(t, ts.URL, spec)
-
-	req, _ := http.NewRequest("GET", fmt.Sprintf("%s/v1/streams/%s/frames?n=64", ts.URL, info.ID), nil)
-	req.Header.Set("Accept", "application/octet-stream")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(raw) != 64*8 {
-		t.Fatalf("binary body %d bytes, want %d", len(raw), 64*8)
-	}
-	want, err := spec.Frames(context.Background(), 0, 64, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		v := math.Float64frombits(binary.LittleEndian.Uint64(raw[i*8:]))
-		if v != want[i] {
-			t.Fatalf("binary frame %d: %v, want %v", i, v, want[i])
 		}
 	}
 }

@@ -1,13 +1,13 @@
 package server
 
 import (
+	"cmp"
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -39,8 +39,6 @@ type frameStream interface {
 type session struct {
 	id      string
 	name    string
-	kind    string  // "" for plain streams, "trunk" for superpositions
-	sources int     // flattened source count (trunk sessions only)
 	cost    float64 // admission cost units reserved for this session
 	seed    uint64
 	created time.Time
@@ -76,6 +74,19 @@ func (ss *session) closeLocked() {
 	ss.stream.Close()
 }
 
+// sessionKindTrunk marks superposition sessions in the public SessionInfo
+// and SessionStats.
+const sessionKindTrunk = "trunk"
+
+// kind derives the session's public kind from its stream: "trunk" and the
+// flattened source count for a superposition, "" and 0 for a plain stream.
+func (ss *session) kind() (string, int) {
+	if tr, ok := ss.stream.(*trunk.Trunk); ok {
+		return sessionKindTrunk, tr.NumSources()
+	}
+	return "", 0
+}
+
 // SessionInfo is the public view of a session. Kind and Sources are set
 // only for trunk sessions, so plain-stream responses are unchanged.
 type SessionInfo struct {
@@ -91,37 +102,29 @@ type SessionInfo struct {
 	Created     time.Time `json:"created"`
 }
 
-func (ss *session) info() SessionInfo {
-	info, _ := ss.infoOK()
-	return info
-}
-
-// infoOK snapshots the session state; ok is false when the session was
+// info snapshots the session state; ok is false when the session was
 // closed (deleted or evicted) after the caller looked it up, in which
 // case the snapshot must not be served — the stream contract forbids
 // touching a closed stream.
-func (ss *session) infoOK() (SessionInfo, bool) {
+func (ss *session) info() (info SessionInfo, ok bool) {
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
 		return SessionInfo{}, false
 	}
-	return ss.infoLocked(), true
-}
-
-func (ss *session) infoLocked() SessionInfo {
+	kind, sources := ss.kind()
 	return SessionInfo{
 		ID:          ss.id,
 		Name:        ss.name,
-		Kind:        ss.kind,
-		Sources:     ss.sources,
+		Kind:        kind,
+		Sources:     sources,
 		Seed:        ss.seed,
 		Pos:         ss.stream.Pos(),
 		Served:      ss.served,
 		Order:       ss.stream.Order(),
 		MaxACFError: ss.stream.MaxACFError(),
 		Created:     ss.created,
-	}
+	}, true
 }
 
 // ---------------------------------------------------------------------------
@@ -136,7 +139,7 @@ func (s *Server) addSession(ss *session) {
 	s.reg.add(ss)
 	s.metrics.sessionsActive.Add(1)
 	s.metrics.sessionsTotal.Inc()
-	if ss.kind == sessionKindTrunk {
+	if kind, _ := ss.kind(); kind == sessionKindTrunk {
 		s.metrics.trunkSessions.Add(1)
 	}
 }
@@ -156,39 +159,41 @@ func (s *Server) removeSession(id string) bool {
 	if !ok {
 		return false
 	}
-	// Release engine-side accounting (the block engine's arena-bytes
-	// gauge) and the admission reservation. closeLocked under ss.mu makes
-	// a delete racing an eviction sweep single-close; Stream.Close touches
-	// no buffers, so a read that held ss.mu first finishes safely and sees
-	// closed on its next request.
+	// closeLocked under ss.mu makes a delete racing an eviction sweep
+	// single-close; Stream.Close touches no buffers, so a read that held
+	// ss.mu first finishes safely and sees closed on its next request.
 	ss.mu.Lock()
 	ss.closeLocked()
 	ss.mu.Unlock()
+	s.retire(ss)
+	return true
+}
+
+// retire settles the accounting of a session that is closed and out of
+// the registry (deleted or evicted): its admission reservation and the
+// session gauges. Engine-side accounting (the block engine's arena-bytes
+// gauge) was released by the close.
+func (s *Server) retire(ss *session) {
 	s.adm.release(ss.cost)
 	s.metrics.sessionsActive.Add(-1)
-	if ss.kind == sessionKindTrunk {
+	if kind, _ := ss.kind(); kind == sessionKindTrunk {
 		s.metrics.trunkSessions.Add(-1)
 	}
-	return true
 }
 
 // rejectCreate reports an admission rejection: 429 with a Retry-After
 // hint (or 503 while draining), the per-reason counter, and the legacy
 // streams-rejected counter.
-func (s *Server) rejectCreate(w http.ResponseWriter, err error) {
+func (s *Server) rejectCreate(w http.ResponseWriter, ae *admitError) {
 	s.metrics.streamsRejected.Inc()
+	s.metrics.admissionRejects.With(ae.reason).Inc()
 	code := http.StatusTooManyRequests
-	if ae, ok := asAdmitError(err); ok {
-		s.metrics.admissionRejects.With(ae.reason).Inc()
-		if ae.reason == rejectDrain {
-			code = http.StatusServiceUnavailable
-		} else if ae.retryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
-		}
-	} else if errors.Is(err, errDraining) {
+	if ae.reason == rejectDrain {
 		code = http.StatusServiceUnavailable
+	} else if ae.retryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(ae.retryAfter))
 	}
-	httpError(w, code, err)
+	httpError(w, code, ae)
 }
 
 // deriveSeed assigns a deterministic seed to the n-th auto-seeded session:
@@ -205,35 +210,86 @@ func deriveSeed(base, ordinal uint64) uint64 {
 // ---------------------------------------------------------------------------
 // HTTP handlers
 
-func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	var spec modelspec.Spec
-	dec := json.NewDecoder(body)
+// decode reads a JSON request body into v, capped at MaxBodyBytes and
+// rejecting unknown fields. On failure it answers 400 and returns false.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := dec.Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, err)
+		return false
+	}
+	return true
+}
+
+// sessionSpec is a decoded create request: a single-stream modelspec or a
+// trunk spec. Cost reads the spec alone, so admission can reject before
+// any plan is built.
+type sessionSpec interface {
+	Validate() error
+	Cost() float64
+}
+
+func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
+	var spec modelspec.Spec
+	if !s.decode(w, r, &spec) {
 		return
 	}
+	s.create(w, r, &spec, &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+		stream, err := spec.OpenCtx(ctx, s.opt.Tol)
+		if err != nil {
+			return nil, statmon.Ref{}, err
+		}
+		return stream, streamRef(&spec, stream), nil
+	})
+}
+
+// handleTrunkCreate opens a superposition session: N independently seeded
+// component streams multiplexed into one aggregate, served through the same
+// frames/step/delete surface as a plain stream. Every component seed
+// derives from the trunk seed, so the response's seed alone reproduces the
+// whole aggregate offline (trunk.Open with the same spec).
+func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
+	var spec modelspec.TrunkSpec
+	if !s.decode(w, r, &spec) {
+		return
+	}
+	s.create(w, r, &spec, &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+		tr, err := trunk.Open(ctx, &spec, trunk.Options{Tol: s.opt.Tol})
+		if err != nil {
+			return nil, statmon.Ref{}, err
+		}
+		// The aggregate's moments are not exposed analytically, so the
+		// reference is empty: the monitor tracks observed statistics for
+		// the stats endpoint but never scores drift.
+		return tr, statmon.Ref{}, nil
+	})
+}
+
+// create is the one create path behind POST /v1/streams and POST
+// /v1/trunks: validate, derive the seed when the spec leaves it 0, reserve
+// the admission cost, open, attach the monitor, register. open builds the
+// seeded spec's stream and the statmon reference its monitor scores drift
+// against. Admission happens before the expensive open, so a doomed
+// request never builds a plan or touches an arena. The open is cancellable
+// by the client and shares plans across sessions through the plan cache;
+// when it fails the reservation is returned, so a rejected or failed
+// create never leaks accounting.
+func (s *Server) create(w http.ResponseWriter, r *http.Request, spec sessionSpec, seed *uint64, name string,
+	open func(context.Context) (frameStream, statmon.Ref, error)) {
 	if err := spec.Validate(); err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if spec.Seed == 0 {
-		spec.Seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
+	if *seed == 0 {
+		*seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
 	}
-	// Admission happens before the expensive plan acquisition: the cost is
-	// estimated from the spec alone, so a doomed request never builds a
-	// plan or touches an arena.
 	cost := spec.Cost()
 	if err := s.adm.reserve(cost); err != nil {
 		s.rejectCreate(w, err)
 		return
 	}
-	// Plan acquisition is the expensive step; it is cancellable by the
-	// client and shared across sessions through the plan cache. Any
-	// failure from here on returns the reservation and closes the stream:
-	// a rejected or failed create never leaks engine accounting.
-	stream, err := spec.OpenCtx(r.Context(), s.opt.Tol)
+	stream, ref, err := open(r.Context())
 	if err != nil {
 		s.adm.release(cost)
 		if r.Context().Err() != nil {
@@ -242,86 +298,21 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	name := spec.Name
-	if name == "" {
-		name = "stream"
-	}
-	ss := &session{name: name, cost: cost, seed: spec.Seed, created: time.Now(), stream: stream}
-	ss.mon = s.newStreamMonitor(&spec, stream)
+	ss := &session{name: name, cost: cost, seed: *seed, created: time.Now(), stream: stream, mon: s.newMonitor(ref)}
 	s.addSession(ss)
-	writeJSON(w, http.StatusCreated, ss.info())
-}
-
-// sessionKindTrunk marks superposition sessions in the registry and the
-// public SessionInfo.
-const sessionKindTrunk = "trunk"
-
-// handleTrunkCreate opens a superposition session: N independently seeded
-// component streams multiplexed into one aggregate, served through the same
-// frames/step/delete surface as a plain stream. The trunk seed is derived
-// exactly like a stream seed when the spec leaves it 0, and every component
-// seed derives from the trunk seed, so the response's seed alone reproduces
-// the whole aggregate offline (trunk.Open with the same spec).
-func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
-	var spec modelspec.TrunkSpec
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if spec.Seed == 0 {
-		spec.Seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
-	}
-	// Trunks are the expensive sessions admission exists for: the cost
-	// scales with the flattened source count, so under pressure a 4096-
-	// source superposition is shed while plain streams keep landing.
-	cost := estimateTrunkCost(&spec)
-	if err := s.adm.reserve(cost); err != nil {
-		s.rejectCreate(w, err)
-		return
-	}
-	tr, err := trunk.Open(r.Context(), &spec, trunk.Options{Tol: s.opt.Tol})
-	if err != nil {
-		s.adm.release(cost)
-		if r.Context().Err() != nil {
-			return // client gone; nothing to report
-		}
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	name := spec.Name
-	if name == "" {
-		name = sessionKindTrunk
-	}
-	ss := &session{
-		name:    name,
-		kind:    sessionKindTrunk,
-		sources: tr.NumSources(),
-		cost:    cost,
-		seed:    spec.Seed,
-		created: time.Now(),
-		stream:  tr,
-		mon:     s.newTrunkMonitor(),
-	}
-	s.addSession(ss)
-	writeJSON(w, http.StatusCreated, ss.info())
+	info, _ := ss.info() // a delete racing the create leaves the zero info
+	writeJSON(w, http.StatusCreated, info)
 }
 
 func (s *Server) handleStreamList(w http.ResponseWriter, _ *http.Request) {
 	list := s.reg.list()
 	infos := make([]SessionInfo, 0, len(list))
 	for _, ss := range list {
-		if info, ok := ss.infoOK(); ok {
+		if info, ok := ss.info(); ok {
 			infos = append(infos, info)
 		}
 	}
-	sortSessionInfos(infos)
+	slices.SortFunc(infos, func(a, b SessionInfo) int { return compareSessionIDs(a.ID, b.ID) })
 	writeJSON(w, http.StatusOK, infos)
 }
 
@@ -331,7 +322,7 @@ func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return
 	}
-	info, ok := ss.infoOK()
+	info, ok := ss.info()
 	if !ok {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return
@@ -379,7 +370,11 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	enc := frameEncodingOf(r)
+	enc, err := frameEncodingOf(r)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
+		return
+	}
 	ctx := r.Context()
 
 	// Hold the session for the whole response: concurrent readers of one
@@ -405,71 +400,75 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 			return // client gone mid-replay; the session stays where it got to
 		}
 	}
-	start := ss.stream.Pos()
 
 	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("X-Stream-Start", strconv.Itoa(start))
+	w.Header().Set("X-Stream-Start", strconv.Itoa(ss.stream.Pos()))
 	w.Header().Set("X-Stream-Seed", strconv.FormatUint(ss.seed, 10))
 	flusher, _ := w.(http.Flusher)
 	s.metrics.streamFrames.Observe(float64(n))
 
-	// The frame buffer and the encode buffer are both recycled: frames are
-	// generated into buf and written straight out through the pooled byte
-	// buffer, so steady-state streaming allocates nothing per chunk on any
-	// encoding.
-	buf := make([]float64, 0, streamChunk)
+	// The encode buffer is pooled, so steady-state streaming allocates
+	// nothing per chunk on either encoding. Each chunk is written and
+	// flushed before the next is generated.
 	outp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(outp)
 	out := *outp
-	written := 0
-	for written < n {
-		if ctx.Err() != nil {
-			return // client gone; the session position stays where it got to
-		}
-		c := n - written
-		if c > streamChunk {
-			c = streamChunk
-		}
-		emitBegin := time.Now()
-		buf = buf[:c]
-		ss.stream.Fill(buf)
-		// Statistical self-monitoring tap: zero-copy (the monitor reads buf
-		// in place, before the encoder reuses it) and position-aware, so the
-		// monitor can detect seeks and sampling gaps.
-		if ss.mon.Observe(int64(start+written), buf) {
-			s.metrics.statmonSampled.Add(float64(c))
-		}
-
-		out = out[:0]
-		switch enc {
-		case encRecords:
-			out = AppendFrameRecord(out, buf)
-		case encFloat64:
-			for _, v := range buf {
-				out = binary.LittleEndian.AppendUint64(out, math.Float64bits(v))
-			}
-		default:
-			for _, v := range buf {
-				out = strconv.AppendFloat(out, v, 'g', -1, 64)
-				out = append(out, '\n')
-			}
-		}
+	begin := time.Now()
+	complete := s.produce(ctx, ss, n, make([]float64, min(n, streamChunk)), func(chunk []float64) bool {
+		out = enc.append(out[:0], chunk)
 		if _, err := w.Write(out); err != nil {
-			return
+			return false
 		}
 		if flusher != nil {
 			flusher.Flush()
 		}
-		s.metrics.frameEmitSeconds.Observe(time.Since(emitBegin).Seconds())
-		written += c
-		ss.served += uint64(c)
-		s.metrics.framesStreamed.Add(float64(c))
-	}
-	if enc == encRecords {
+		now := time.Now()
+		s.metrics.frameEmitSeconds.Observe(now.Sub(begin).Seconds())
+		begin = now
+		return true
+	})
+	if complete && enc == encRecords {
 		// Terminator record: the protocol-level "all frames delivered".
 		w.Write(AppendFrameTrailer(out[:0]))
 	}
 	*outp = out[:0]
+}
+
+// produce advances ss by n frames, streamChunk at a time: fill, statmon
+// tap, emit (nil discards), count. It is the one production loop behind
+// the frames and step endpoints. Chunks land in buf, which is either
+// shorter than n (reused for every chunk) or at least n long (the chunks
+// fill it in order, keeping every frame). It stops early when ctx is done
+// or emit returns false, leaving the session position where it got to,
+// and reports whether all n frames went out. The caller holds ss.mu.
+func (s *Server) produce(ctx context.Context, ss *session, n int, buf []float64, emit func(chunk []float64) bool) bool {
+	start := ss.stream.Pos()
+	for done := 0; done < n; {
+		if ctx.Err() != nil {
+			return false
+		}
+		c := min(n-done, streamChunk)
+		chunk := buf[:c]
+		if len(buf) >= n {
+			chunk = buf[done : done+c]
+		}
+		ss.stream.Fill(chunk)
+		// Statistical self-monitoring tap: zero-copy (the monitor reads the
+		// chunk in place, before emit or the next fill reuses it) and
+		// position-aware, so the monitor can detect seeks and sampling
+		// gaps. The sampled counter is atomic, so step workers feed it
+		// without coordination.
+		if ss.mon.Observe(int64(start+done), chunk) {
+			s.metrics.statmonSampled.Add(float64(c))
+		}
+		if emit != nil && !emit(chunk) {
+			return false
+		}
+		done += c
+		ss.served += uint64(c)
+		s.metrics.framesStreamed.Add(float64(c))
+	}
+	return true
 }
 
 // frameEncoding selects a frames response body format.
@@ -477,55 +476,50 @@ type frameEncoding int
 
 const (
 	encNDJSON  frameEncoding = iota // one ASCII float per line
-	encFloat64                      // raw float64 little-endian
 	encRecords                      // length-prefixed x-vbrsim-frames records
 )
 
 func (e frameEncoding) contentType() string {
-	switch e {
-	case encFloat64:
-		return "application/octet-stream"
-	case encRecords:
+	if e == encRecords {
 		return ContentTypeFrames
 	}
 	return "application/x-ndjson"
 }
 
-// frameEncodingOf negotiates the frame encoding: the length-prefixed
-// record protocol for Accept: application/x-vbrsim-frames (or
-// format=frames), raw binary float64 for application/octet-stream (or
-// format=binary), NDJSON otherwise.
-func frameEncodingOf(r *http.Request) frameEncoding {
-	switch r.URL.Query().Get("format") {
+// append encodes one chunk of frames onto dst.
+func (e frameEncoding) append(dst []byte, frames []float64) []byte {
+	if e == encRecords {
+		return AppendFrameRecord(dst, frames)
+	}
+	for _, v := range frames {
+		dst = strconv.AppendFloat(dst, v, 'g', -1, 64)
+		dst = append(dst, '\n')
+	}
+	return dst
+}
+
+// frameEncodingOf negotiates the frame encoding: format=frames or
+// format=ndjson when given (any other value is an error), else the
+// length-prefixed record protocol for Accept: application/x-vbrsim-frames
+// and NDJSON otherwise.
+func frameEncodingOf(r *http.Request) (frameEncoding, error) {
+	switch f := r.URL.Query().Get("format"); f {
 	case "frames":
-		return encRecords
-	case "binary":
-		return encFloat64
+		return encRecords, nil
 	case "ndjson":
-		return encNDJSON
+		return encNDJSON, nil
+	case "":
+	default:
+		return 0, fmt.Errorf("format=%q: want frames or ndjson", f)
 	}
-	accept := r.Header.Get("Accept")
-	switch {
-	case strings.Contains(accept, ContentTypeFrames):
-		return encRecords
-	case strings.Contains(accept, "application/octet-stream"):
-		return encFloat64
+	if strings.Contains(r.Header.Get("Accept"), ContentTypeFrames) {
+		return encRecords, nil
 	}
-	return encNDJSON
+	return encNDJSON, nil
 }
 
-func sortSessionInfos(infos []SessionInfo) {
-	// IDs are s1, s2, ...: compare numerically by length then lexically.
-	for i := 1; i < len(infos); i++ {
-		for j := i; j > 0 && sessionIDLess(infos[j].ID, infos[j-1].ID); j-- {
-			infos[j], infos[j-1] = infos[j-1], infos[j]
-		}
-	}
-}
-
-func sessionIDLess(a, b string) bool {
-	if len(a) != len(b) {
-		return len(a) < len(b)
-	}
-	return a < b
+// compareSessionIDs orders session IDs (s1, s2, ...) numerically: by
+// length, then lexically.
+func compareSessionIDs(a, b string) int {
+	return cmp.Or(cmp.Compare(len(a), len(b)), strings.Compare(a, b))
 }

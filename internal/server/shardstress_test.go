@@ -153,7 +153,7 @@ func TestShardedRegistryChurnStress(t *testing.T) {
 					case 0:
 						url += "&format=frames"
 					case 1:
-						url += "&format=binary"
+						url += "&format=ndjson"
 					}
 					resp, err := http.Get(url)
 					if err != nil {

@@ -26,8 +26,9 @@ func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
 	}
 	ss.mu.Lock()
 	mon, closed := ss.mon, ss.closed
-	out := SessionStats{ID: ss.id, Name: ss.name, Kind: ss.kind}
 	ss.mu.Unlock()
+	kind, _ := ss.kind()
+	out := SessionStats{ID: ss.id, Name: ss.name, Kind: kind}
 	if closed {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return
@@ -55,57 +56,9 @@ type StatusReport struct {
 // this walks the fleet fresh — the endpoint is for humans and scripts
 // investigating a run, and it names the drifting sessions.
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
-	rep := StatusReport{
-		UptimeSeconds: time.Since(s.started).Seconds(),
-		Draining:      s.adm.isDraining(),
-		CostUsed:      s.adm.usedCost(),
-	}
-	var fleet statmonFleet
-	for _, ss := range s.reg.list() {
-		ss.mu.Lock()
-		mon, closed, kind, id := ss.mon, ss.closed, ss.kind, ss.id
-		ss.mu.Unlock()
-		if closed {
-			continue
-		}
-		rep.Sessions++
-		if kind == sessionKindTrunk {
-			rep.TrunkSessions++
-		}
-		if mon == nil {
-			continue
-		}
-		snap := mon.Snapshot()
-		fleet.Monitored++
-		if snap.Drifting {
-			fleet.Drifting++
-			rep.DriftingIDs = append(rep.DriftingIDs, id)
-		}
-		if snap.HurstValid {
-			fleet.MeanHurst += snap.Hurst
-			fleet.hurstN++
-		}
-		if snap.ACFErr > fleet.MaxACFErr {
-			fleet.MaxACFErr = snap.ACFErr
-		}
-		if snap.Drift > fleet.MaxDrift {
-			fleet.MaxDrift = snap.Drift
-		}
-	}
-	if fleet.hurstN > 0 {
-		fleet.MeanHurst /= float64(fleet.hurstN)
-	}
-	rep.Statmon = fleet
-	sortStrings(rep.DriftingIDs)
+	rep := s.foldFleet()
+	rep.UptimeSeconds = time.Since(s.started).Seconds()
+	rep.Draining = s.adm.isDraining()
+	rep.CostUsed = s.adm.usedCost()
 	writeJSON(w, http.StatusOK, rep)
-}
-
-// sortStrings orders the (short) drifting-ID list with the session-ID
-// comparator so the report is deterministic across registry shards.
-func sortStrings(ids []string) {
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && sessionIDLess(ids[j], ids[j-1]); j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
 }

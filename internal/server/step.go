@@ -1,7 +1,7 @@
 package server
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -55,12 +55,8 @@ type StepResult struct {
 // cumulative position, never on fleet composition, worker count, or
 // scheduling.
 func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
-	body := http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes)
 	var req StepRequest
-	dec := json.NewDecoder(body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	if !s.decode(w, r, &req) {
 		return
 	}
 	if len(req.IDs) == 0 {
@@ -89,14 +85,17 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 		sessions[i] = ss
 	}
 
+	// A step is not cancelled part-way: every listed session that is still
+	// open advances by exactly n.
+	ctx := context.WithoutCancel(r.Context())
 	results := make([]StepResult, len(sessions))
 	workers := par.Workers(s.opt.StepWorkers, len(sessions))
 	par.ForChunks(workers, len(sessions), func(_, lo, hi int) {
 		// One scratch chunk per worker run, not per session: the discard
 		// path reuses it across every session in [lo, hi).
-		var buf []float64
+		var scratch []float64
 		if !req.IncludeFrames {
-			buf = make([]float64, streamChunk)
+			scratch = make([]float64, min(req.N, streamChunk))
 		}
 		for i := lo; i < hi; i++ {
 			ss := sessions[i]
@@ -107,41 +106,16 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			res := StepResult{ID: ss.id, Start: ss.stream.Pos()}
-			// The statmon tap sees stepped frames too (same zero-copy,
-			// position-aware contract as the frames path); the sampled
-			// counter is atomic, so workers feed it without coordination.
+			buf := scratch
 			if req.IncludeFrames {
 				res.Frames = make([]float64, req.N)
-				ss.stream.Fill(res.Frames)
-				if ss.mon.Observe(int64(res.Start), res.Frames) {
-					s.metrics.statmonSampled.Add(float64(req.N))
-				}
-			} else {
-				for left, pos := req.N, res.Start; left > 0; {
-					c := left
-					if c > streamChunk {
-						c = streamChunk
-					}
-					ss.stream.Fill(buf[:c])
-					if ss.mon.Observe(int64(pos), buf[:c]) {
-						s.metrics.statmonSampled.Add(float64(c))
-					}
-					left -= c
-					pos += c
-				}
+				buf = res.Frames
 			}
+			s.produce(ctx, ss, req.N, buf, nil)
 			res.Pos = ss.stream.Pos()
-			ss.served += uint64(req.N)
 			ss.mu.Unlock()
 			results[i] = res
 		}
 	})
-	advanced := 0
-	for i := range results {
-		if !results[i].Gone {
-			advanced++
-		}
-	}
-	s.metrics.framesStreamed.Add(float64(advanced * req.N))
 	writeJSON(w, http.StatusOK, results)
 }

@@ -129,6 +129,19 @@ sid=$(curl -sSf -X POST "$base/v1/streams" \
 frames=$(curl -sSf "$base/v1/streams/$sid/frames?n=100" | wc -l)
 [ "$frames" -eq 100 ] || { echo "expected 100 frames, got $frames" >&2; exit 1; }
 curl -sSf "$base/metrics" | grep -q '^vbrsim_frames_streamed_total 100$'
+# Record protocol: 100 frames are one record (a 4-byte count of 100 and
+# 800 payload bytes) followed by the zero-count terminator record. The raw
+# float64 encoding is gone, so format=binary is a 400.
+curl -sSf -H 'Accept: application/x-vbrsim-frames' \
+    "$base/v1/streams/$sid/frames?n=100" >"$tmpdir/records"
+rbytes=$(wc -c <"$tmpdir/records")
+[ "$rbytes" -eq $((4 + 800 + 4)) ] || { echo "expected 808 record bytes, got $rbytes" >&2; exit 1; }
+[ "$(head -c 4 "$tmpdir/records" | od -An -tx1 | tr -d ' \n')" = 64000000 ] \
+    || { echo "record count is not 100" >&2; exit 1; }
+[ "$(tail -c 4 "$tmpdir/records" | od -An -tx1 | tr -d ' \n')" = 00000000 ] \
+    || { echo "record body does not end in a zero-count terminator" >&2; exit 1; }
+bcode=$(curl -s -o /dev/null -w '%{http_code}' "$base/v1/streams/$sid/frames?n=1&format=binary")
+[ "$bcode" -eq 400 ] || { echo "format=binary: expected HTTP 400, got $bcode" >&2; exit 1; }
 
 # Trunk-session smoke: a 4-source superposition served through the same
 # frames path, visible in the trunk gauges.
