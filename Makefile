@@ -21,9 +21,10 @@ vet:
 ci:
 	./scripts/ci.sh
 
-# Runs the ablation suite and writes machine-readable BENCH_7.json.
+# Runs every package's ablation benchmarks (no tests). Serving speed is
+# measured by benchmark/ (bash benchmark/run.sh).
 bench:
-	$(GO) run ./cmd/bench
+	$(GO) test -run '^$$' -bench . ./...
 
 # Statistical acceptance suite (quick mode); writes CONFORMANCE_1.json.
 # Use `go run ./cmd/conformance -full` for paper-scale sample sizes.

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"vbrsim/internal/acf"
-	"vbrsim/internal/benchsuite"
 	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/experiments"
 	"vbrsim/internal/hosking"
@@ -189,67 +188,6 @@ func BenchmarkAblationCompositeVsSingle(b *testing.B) {
 			b.ReportMetric(typeMeanError(tr, syn), "type-mean-err")
 		}
 	})
-}
-
-// ---------------------------------------------------------------------------
-// Fast-path ablation benches (DESIGN.md Section 5). The measurement bodies
-// live in internal/benchsuite so that cmd/bench reports the exact same
-// numbers to BENCH_2.json.
-
-// BenchmarkAblationFlatVsRagged compares path generation through the flat
-// single-allocation plan layout against the seed's ragged [][]float64
-// layout (bit-identical output, pure memory-layout difference).
-func BenchmarkAblationFlatVsRagged(b *testing.B) {
-	b.Run("flat", benchsuite.BenchFlatPlanPath)
-	b.Run("ragged", benchsuite.BenchRaggedPlanPath)
-}
-
-// BenchmarkAblationTruncatedAR compares exact O(n^2) Hosking generation
-// against the truncated-AR(p) fast path at paper-overflow scale
-// (n = 20000, induced ACF error bounded by 0.02).
-func BenchmarkAblationTruncatedAR(b *testing.B) {
-	b.Run("exact", benchsuite.BenchExactPath20000)
-	b.Run("truncated", benchsuite.BenchTruncatedPath20000)
-}
-
-// BenchmarkAblationParallelPlan compares serial and parallel (chunked,
-// bit-identical) Durbin-Levinson plan construction.
-func BenchmarkAblationParallelPlan(b *testing.B) {
-	b.Run("serial", benchsuite.BenchNewPlanSerial)
-	b.Run("parallel", benchsuite.BenchNewPlanParallel)
-}
-
-// BenchmarkAblationPlanCache compares a cold plan-cache miss (full
-// Durbin-Levinson build) against a warm hit (fingerprint + shared plan).
-func BenchmarkAblationPlanCache(b *testing.B) {
-	b.Run("cold", benchsuite.BenchPlanCacheCold)
-	b.Run("warm", benchsuite.BenchPlanCacheWarm)
-}
-
-// BenchmarkAblationDHPathEngine walks the Davies-Harte path-generation
-// ladder: the allocating reference, the zero-alloc bit-identical PathInto,
-// the packed real-FFT PathRealInto, and the seeded Batch engine.
-func BenchmarkAblationDHPathEngine(b *testing.B) {
-	b.Run("reference", benchsuite.BenchDHPathReference)
-	b.Run("into", benchsuite.BenchDHPathInto)
-	b.Run("real-into", benchsuite.BenchDHPathRealInto)
-	b.Run("batch", benchsuite.BenchDHBatch)
-}
-
-// BenchmarkAblationFFTTables compares on-the-fly twiddle recomputation
-// against the cached tables (bit-identical), plus the packed real-input
-// forward transform.
-func BenchmarkAblationFFTTables(b *testing.B) {
-	b.Run("reference", benchsuite.BenchFFTForwardReference)
-	b.Run("tabled", benchsuite.BenchFFTForwardTabled)
-	b.Run("real-forward", benchsuite.BenchFFTRealForward)
-}
-
-// BenchmarkAblationTransformLUT compares the exact CDF/quantile transform
-// against the precomputed monotone interpolation table.
-func BenchmarkAblationTransformLUT(b *testing.B) {
-	b.Run("exact", benchsuite.BenchTransformApplyExact)
-	b.Run("lut", benchsuite.BenchTransformApplyLUT)
 }
 
 // typeMeanError sums the relative per-frame-type mean errors between traces.

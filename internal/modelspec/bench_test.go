@@ -1,4 +1,4 @@
-package benchsuite
+package modelspec
 
 import (
 	"context"
@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"vbrsim/internal/daviesharte"
-	"vbrsim/internal/modelspec"
 	"vbrsim/internal/par"
 	"vbrsim/internal/rng"
 	"vbrsim/internal/streamblock"
@@ -27,9 +26,9 @@ import (
 var ladderSizes = []int{4096, 16384, 65536}
 
 type ladderFixture struct {
-	truncStream *modelspec.Stream
-	blockStream *modelspec.Stream
-	stepStreams []*modelspec.Stream
+	truncStream *Stream
+	blockStream *Stream
+	stepStreams []*Stream
 	batchPlans  map[int]*daviesharte.Plan
 	lut         *transform.LUT
 }
@@ -47,12 +46,12 @@ const stepSessions = 32
 func getLadder(b *testing.B) *ladderFixture {
 	ladderOnce.Do(func() {
 		ctx := context.Background()
-		spec := modelspec.Paper()
+		spec := Paper()
 		spec.Seed = 1
 		if ladder.truncStream, ladderErr = spec.OpenCtx(ctx, 0); ladderErr != nil {
 			return
 		}
-		spec.Engine = modelspec.EngineBlock
+		spec.Engine = EngineBlock
 		if ladder.blockStream, ladderErr = spec.OpenCtx(ctx, 0); ladderErr != nil {
 			return
 		}
@@ -90,7 +89,7 @@ func getLadder(b *testing.B) *ladderFixture {
 	return &ladder
 }
 
-func benchStreamFill(b *testing.B, st *modelspec.Stream, n int) {
+func benchStreamFill(b *testing.B, st *Stream, n int) {
 	out := make([]float64, n)
 	st.Fill(out) // warm arenas and FFT tables before the timer
 	b.ResetTimer()
@@ -100,26 +99,32 @@ func benchStreamFill(b *testing.B, st *modelspec.Stream, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/frame")
 }
 
-// BenchStreamTruncatedFill4096 streams 4096 paper frames through the
+// BenchmarkStreamTruncatedFill4096 streams 4096 paper frames through the
 // truncated-AR serving path.
-func BenchStreamTruncatedFill4096(b *testing.B) { benchStreamFill(b, getLadder(b).truncStream, 4096) }
+func BenchmarkStreamTruncatedFill4096(b *testing.B) {
+	benchStreamFill(b, getLadder(b).truncStream, 4096)
+}
 
-// BenchStreamTruncatedFill16384 is the n=16k rung — the ladder's headline
-// comparison point.
-func BenchStreamTruncatedFill16384(b *testing.B) { benchStreamFill(b, getLadder(b).truncStream, 16384) }
+// BenchmarkStreamTruncatedFill16384 is the n=16k rung — the ladder's
+// headline comparison point.
+func BenchmarkStreamTruncatedFill16384(b *testing.B) {
+	benchStreamFill(b, getLadder(b).truncStream, 16384)
+}
 
-// BenchStreamTruncatedFill65536 is the n=64k rung.
-func BenchStreamTruncatedFill65536(b *testing.B) { benchStreamFill(b, getLadder(b).truncStream, 65536) }
+// BenchmarkStreamTruncatedFill65536 is the n=64k rung.
+func BenchmarkStreamTruncatedFill65536(b *testing.B) {
+	benchStreamFill(b, getLadder(b).truncStream, 65536)
+}
 
-// BenchStreamBlockFill4096 streams 4096 paper frames through the
+// BenchmarkStreamBlockFill4096 streams 4096 paper frames through the
 // overlapped-block engine.
-func BenchStreamBlockFill4096(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 4096) }
+func BenchmarkStreamBlockFill4096(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 4096) }
 
-// BenchStreamBlockFill16384 is the block engine at the headline rung.
-func BenchStreamBlockFill16384(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 16384) }
+// BenchmarkStreamBlockFill16384 is the block engine at the headline rung.
+func BenchmarkStreamBlockFill16384(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 16384) }
 
-// BenchStreamBlockFill65536 is the block engine at the n=64k rung.
-func BenchStreamBlockFill65536(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 65536) }
+// BenchmarkStreamBlockFill65536 is the block engine at the n=64k rung.
+func BenchmarkStreamBlockFill65536(b *testing.B) { benchStreamFill(b, getLadder(b).blockStream, 65536) }
 
 func benchBatchExact(b *testing.B, n int) {
 	f := getLadder(b)
@@ -136,20 +141,20 @@ func benchBatchExact(b *testing.B, n int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/frame")
 }
 
-// BenchBatchExactFill4096 is the one-shot exact batch at n=4096: the
+// BenchmarkBatchExactFill4096 is the one-shot exact batch at n=4096: the
 // dedicated-circulant lower bound for the ladder.
-func BenchBatchExactFill4096(b *testing.B) { benchBatchExact(b, 4096) }
+func BenchmarkBatchExactFill4096(b *testing.B) { benchBatchExact(b, 4096) }
 
-// BenchBatchExactFill16384 is the exact batch at n=16k.
-func BenchBatchExactFill16384(b *testing.B) { benchBatchExact(b, 16384) }
+// BenchmarkBatchExactFill16384 is the exact batch at n=16k.
+func BenchmarkBatchExactFill16384(b *testing.B) { benchBatchExact(b, 16384) }
 
-// BenchBatchExactFill65536 is the exact batch at n=64k.
-func BenchBatchExactFill65536(b *testing.B) { benchBatchExact(b, 65536) }
+// BenchmarkBatchExactFill65536 is the exact batch at n=64k.
+func BenchmarkBatchExactFill65536(b *testing.B) { benchBatchExact(b, 65536) }
 
-// BenchStreamBlockRefill measures one steady-state block refill (raw
+// BenchmarkStreamBlockRefill measures one steady-state block refill (raw
 // Davies-Harte path + stitch + LUT) by filling exactly one block per op.
-// The allocs_per_op column is the AllocsPerRun=0 gate in BENCH_4.json.
-func BenchStreamBlockRefill(b *testing.B) {
+// TestStreamFillZeroAlloc pins its allocation count at 0.
+func BenchmarkStreamBlockRefill(b *testing.B) {
 	f := getLadder(b)
 	blockLen := streamblock.DefaultTotal - f.blockStream.Order()
 	out := make([]float64, blockLen)
@@ -161,12 +166,12 @@ func BenchStreamBlockRefill(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(blockLen), "ns/frame")
 }
 
-// BenchStreamStepMany steps 32 block-engine sessions by 1024 frames each
-// through the par pool — the trafficd batched-stepping shape — so the
+// BenchmarkStreamStepMany steps 32 block-engine sessions by 1024 frames
+// each through the par pool — the trafficd batched-stepping shape — so the
 // aggregate frames/sec/core scaling with GOMAXPROCS is on the record. The
 // step closure is hoisted out of the timed loop so the only per-op
 // allocations are the fan-out's own goroutine overhead.
-func BenchStreamStepMany(b *testing.B) {
+func BenchmarkStreamStepMany(b *testing.B) {
 	f := getLadder(b)
 	const frames = 1024
 	workers := par.Workers(runtime.GOMAXPROCS(0), len(f.stepStreams))
@@ -186,13 +191,13 @@ func BenchStreamStepMany(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/total, "ns/frame")
 }
 
-// BenchStreamStepAffinity is the same 32-session step through the
-// sticky-chunk fan-out trafficd now uses for /v1/streams/step: each worker
+// BenchmarkStreamStepAffinity is the same 32-session step through the
+// sticky-chunk fan-out trafficd uses for /v1/streams/step: each worker
 // walks one contiguous run of sessions, and the worker→range mapping is
 // stable across rounds, so every session's synthesis arena stays in one
 // worker's cache. Read against StreamStepMany as the striped-vs-sticky
 // fan-out ratio (output is bit-identical; sessions own their randomness).
-func BenchStreamStepAffinity(b *testing.B) {
+func BenchmarkStreamStepAffinity(b *testing.B) {
 	f := getLadder(b)
 	const frames = 1024
 	workers := par.Workers(runtime.GOMAXPROCS(0), len(f.stepStreams))

@@ -211,3 +211,18 @@ func TestWarmOpenAllocBound(t *testing.T) {
 		t.Logf("warm %s open: %v allocs, %.0f B", name, allocs, bytes)
 	}
 }
+
+// TestStreamFillZeroAlloc pins the steady-state allocation count of the
+// two Gaussian serving engines at 0: a warm Fill of streamblock.DefaultTotal
+// frames (a span that crosses a block refill) must not allocate.
+func TestStreamFillZeroAlloc(t *testing.T) {
+	for _, spec := range []Spec{Paper(), blockSpec(3)} {
+		st := openT(t, spec)
+		out := make([]float64, streamblock.DefaultTotal)
+		st.Fill(out) // warm arenas and FFT tables
+		if a := testing.AllocsPerRun(8, func() { st.Fill(out) }); a != 0 {
+			t.Errorf("warm %s Fill of %d frames allocates %v/op, want 0",
+				engineFor(spec.Engine).name, len(out), a)
+		}
+	}
+}

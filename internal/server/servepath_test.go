@@ -7,9 +7,14 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 	"unsafe"
+
+	"vbrsim/internal/obs"
 )
 
 // TestSessionSize pins the per-session footprint at 128 bytes: a session's
@@ -171,5 +176,91 @@ func TestJobRejectsUnknownFields(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("misspelled job field: HTTP %d, want 400", resp.StatusCode)
+	}
+}
+
+// scrapeServerP99 reads the server's request-latency histogram off its own
+// /metrics page and returns the interpolated p99 of the frames endpoint.
+func scrapeServerP99(t *testing.T, s *Server) time.Duration {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	fams, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, ok := obs.HistogramQuantile(fams["vbrsim_http_request_seconds"], `endpoint="frames"`, 0.99)
+	if !ok {
+		t.Fatal("no frames-endpoint latency histogram on /metrics")
+	}
+	return time.Duration(q * float64(time.Second))
+}
+
+// TestServerP99AgreesWithClient cross-checks two p99 measurements of the
+// same requests: the client-side one (wall time around each ServeHTTP
+// dispatch, 4 workers reading 2 frames at a time from 8 TES sessions) and
+// the server-side one (interpolated from the
+// vbrsim_http_request_seconds{endpoint="frames"} histogram on /metrics).
+// The server estimate is quantized to its bucket grid, so both values must
+// land in the same or an adjacent bucket — any wiring error (wrong endpoint
+// label, seconds-vs-millis confusion, scraping the wrong family) moves the
+// server value by whole buckets or kills it entirely.
+func TestServerP99AgreesWithClient(t *testing.T) {
+	const (
+		sessions = 8
+		workers  = 4
+		perWork  = 500
+	)
+	s, ts := newTestServer(t, Options{})
+	ids := make([]string, sessions)
+	for i := range ids {
+		ids[i] = createStream(t, ts.URL, tesTestSpec(uint64(43+i))).ID
+	}
+	lat := make([][]time.Duration, workers)
+	errs := make(chan error, workers)
+	var wg sync.WaitGroup
+	for w := range lat {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWork; i++ {
+				req := httptest.NewRequest("GET", "/v1/streams/"+ids[(w+i*workers)%sessions]+"/frames?n=2", nil)
+				req.Header.Set("Accept", ContentTypeFrames)
+				rec := httptest.NewRecorder()
+				t0 := time.Now()
+				s.ServeHTTP(rec, req)
+				lat[w] = append(lat[w], time.Since(t0))
+				if rec.Code != http.StatusOK {
+					errs <- fmt.Errorf("frames: HTTP %d %s", rec.Code, rec.Body)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	all := slices.Concat(lat...)
+	slices.Sort(all)
+	cp99, sp99 := all[len(all)*99/100], scrapeServerP99(t, s)
+
+	// The request-histogram bucket bounds from metrics.go.
+	bounds := []time.Duration{
+		500 * time.Microsecond, 2 * time.Millisecond, 10 * time.Millisecond,
+		50 * time.Millisecond, 200 * time.Millisecond, time.Second, 5 * time.Second,
+	}
+	bucketOf := func(d time.Duration) int {
+		for i, ub := range bounds {
+			if d <= ub {
+				return i
+			}
+		}
+		return len(bounds)
+	}
+	if cb, sb := bucketOf(cp99), bucketOf(sp99); cb-sb < -1 || cb-sb > 1 {
+		t.Fatalf("client p99 %v (bucket %d) and server p99 %v (bucket %d) disagree beyond one histogram bucket",
+			cp99, cb, sp99, sb)
 	}
 }

@@ -94,8 +94,8 @@ type Options struct {
 	Registry *obs.Registry
 	// StatmonSampleEvery is the statistical self-monitor's chunk sampling
 	// rate: every k-th served chunk per session is folded into its monitor.
-	// 0 selects the default 32 (worst-case tap cost ~2-3% of frame
-	// synthesis); 1 observes everything; negative disables statmon.
+	// 0 selects the default 32 (tap ~4% of block synthesis time, gated at
+	// 5% by statmon's TestTapShareOfFill); 1 observes all; < 0 disables.
 	StatmonSampleEvery int
 	// StatmonDriftThreshold flags a monitored session as drifting when its
 	// drift score reaches it. 0 selects statmon's default 1.0.

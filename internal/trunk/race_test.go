@@ -1,0 +1,7 @@
+//go:build race
+
+package trunk
+
+// The race detector instruments every memory access, which distorts the
+// in-process timing ratios, so the timing tests skip under it.
+func init() { raceEnabled = true }

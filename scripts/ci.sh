@@ -49,7 +49,7 @@ echo "== conformance -quick"
 # Statistical acceptance gates: deterministic seeded checks that the
 # backends still produce paper-conformant traffic (marginal, ACF, Hurst,
 # cross-backend agreement, IS-vs-MC queue tails). Writes the
-# machine-readable report alongside the bench artifacts. -workers 4 fans
+# machine-readable report. -workers 4 fans
 # the replication loops out; the report is bit-identical at any setting
 # (the race gate above covers the same worker pools via -race -short).
 go run ./cmd/conformance -quick -workers 4 -out CONFORMANCE_1.json
@@ -61,30 +61,31 @@ for check in trunk-determinism trunk-hurst-preservation trunk-mux-gain; do
         || { echo "conformance report missing $check" >&2; exit 1; }
 done
 
-echo "== benchdiff gate"
-# Regression gate over a small, stable benchmark subset: re-measure the
-# DH kernel, the fused inverse FFT kernel, the streaming-ladder headline
-# rungs, the sticky-chunk step fan-out, the serial trunk fan-out rung
-# (also the zero-steady-state-alloc gate), and the statmon serve-path
-# ablation pair (the committed pair records the tap at <= 3% overhead;
-# regressing either side beyond the threshold fails) and diff against the
-# committed BENCH_8.json. The 25% threshold is generous — it absorbs
-# machine-to-machine and run-to-run noise while catching order-of-magnitude
-# regressions (a lost fast path, an accidental allocation in a refill).
-go run ./cmd/bench -benchtime 300ms \
-    -only 'DHPathRealInto|FFTHermitianReal|StreamTruncatedFill/n=16384|StreamBlockFill/n=16384|StreamBlockRefill|StreamStepAffinity|TrunkFillSerial|StreamBlockFillStatmon' \
-    -compare BENCH_8.json -threshold 0.25
-
-echo "== capacity ramp smoke"
-# Serving-capacity gate: ramp a 1k-session in-process fleet through the
-# sharded registry and diff request latency against the committed
-# BENCH_6.json entry. The smoke profile measures only the 1k rung (the
-# 10k/100k rungs in BENCH_6.json are recorded by -profile full and are
-# ignored by the diff, which only gates shared benchmarks). The 75%
-# threshold is deliberately loose — serving latency on shared CI hosts
-# is far noisier than the compute kernels above.
-go run ./cmd/loadgen -selfserve -profile smoke \
-    -compare BENCH_6.json -threshold 0.75
+echo "== perf gates"
+# Host-independent perf gates: exact allocation counts, and two timing
+# ratios taken in one process (both sides interleaved, median of 11 pairs),
+# so they hold on any host where absolute ns/op does not. Serving speed
+# itself is gated by the benchmark/ module under the parent/change
+# protocol (BENCHMARK.json bounds). Old gate -> replacement:
+#   benchdiff DHPathRealInto, FFTHermitianReal, StreamBlockFill/16384,
+#     StreamBlockRefill -> stream-long and session-churn frames_per_s;
+#     TestPathEngineZeroAlloc, TestDHSteadyStateZeroAlloc,
+#     Test{Forward,RealPath}ZeroAlloc,
+#     TestSteadyStateZeroAlloc (streamblock), TestStreamFillZeroAlloc
+#   benchdiff StreamTruncatedFill/16384, StreamStepAffinity -> step-fleet
+#     frames_per_s; TestStreamFillZeroAlloc, TestForChunksInlineZeroAlloc
+#   benchdiff TrunkFillSerial/s=64 -> TestTrunkFillZeroAllocSteadyState,
+#     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
+#   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
+#     tap/fill time share <= 0.05), TestObserveZeroAlloc
+#   capacity ramp smoke (loadgen -selfserve) -> stream-short frames_per_s;
+#     TestFramesRecordsAllocs
+# The two timing tests skip under -short and under -race, so no race run
+# times instrumented code.
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs)$' \
+    ./internal/daviesharte ./internal/fft ./internal/streamblock \
+    ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
+    ./internal/server
 
 echo "== fuzz smoke"
 # Bounded runs of the native fuzz targets: spec decoding must never panic
