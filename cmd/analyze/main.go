@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"vbrsim/internal/hurst"
 	"vbrsim/internal/stats"
@@ -46,7 +45,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("missing -i input trace")
 	}
-	tr, err := readTrace(*in)
+	tr, err := trace.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -136,18 +135,6 @@ func at(a []float64, k int) float64 {
 		return a[k]
 	}
 	return 0
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
 }
 
 func writeDat(path string, stderr io.Writer, fill func(io.Writer)) error {

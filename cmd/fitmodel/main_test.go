@@ -98,7 +98,7 @@ func TestRunJSONExport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec, err := modelspec.Parse(data)
+	spec, err := modelspec.Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("exported spec does not parse: %v", err)
 	}

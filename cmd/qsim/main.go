@@ -6,7 +6,7 @@
 // Usage:
 //
 //	qsim -i trace.csv -util 0.6 -buffer 100 -horizon 1000 -twist 1.6
-//	qsim -i trace.csv -util 0.4 -buffer 200 -mc           # plain Monte Carlo
+//	qsim -i trace.csv -util 0.4 -buffer 200 -twist 0      # plain Monte Carlo
 //	qsim -i trace.csv -util 0.2 -buffer 25 -search        # find a good twist
 //	qsim -i trace.csv -util 0.6 -buffer 100 -trace-driven # drive the queue with the raw trace
 //	qsim -i trace.csv -util 0.7 -buffer 100 -sources 8    # multiplex 8 sources
@@ -60,7 +60,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		twist       = fs.Float64("twist", 1.6, "IS background mean shift m* (0 = plain MC on the model)")
 		reps        = fs.Int("reps", 1000, "replications")
 		seed        = fs.Uint64("seed", 1, "seed")
-		mc          = fs.Bool("mc", false, "force plain Monte Carlo (twist = 0)")
 		search      = fs.Bool("search", false, "sweep twists 0.5..5 and report the normalized-variance valley (Fig. 14)")
 		traceDriven = fs.Bool("trace-driven", false, "estimate from the raw trace itself (one long replication)")
 		batches     = fs.Int("batches", 0, "with -trace-driven: report a batch-means CI over this many batches")
@@ -127,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	err := qsimRun(ctx, stdout, qsimFlags{
 		in: *in, frameType: *frameType, util: *util, bufNorm: *bufNorm,
 		horizon: *horizon, twist: *twist, reps: *reps, seed: *seed,
-		mc: *mc, search: *search, traceDriven: *traceDriven,
+		search: *search, traceDriven: *traceDriven,
 		batches: *batches, sources: *sources, fast: *fast, fastTol: *fastTol,
 		onProgress: onProgress, progressEvery: *progressEvery,
 	}, results)
@@ -147,22 +146,21 @@ func run(args []string, stdout, stderr io.Writer) error {
 
 // qsimFlags carries the parsed flag values into the run body.
 type qsimFlags struct {
-	in, frameType        string
-	util, bufNorm, twist float64
-	horizon, reps        int
-	seed                 uint64
-	mc, search           bool
-	traceDriven, fast    bool
-	batches, sources     int
-	fastTol              float64
-	onProgress           func(obs.Convergence)
-	progressEvery        int
+	in, frameType             string
+	util, bufNorm, twist      float64
+	horizon, reps             int
+	seed                      uint64
+	search, traceDriven, fast bool
+	batches, sources          int
+	fastTol                   float64
+	onProgress                func(obs.Convergence)
+	progressEvery             int
 }
 
 // qsimRun is the tool body: everything after flag parsing and observability
 // setup. It fills results for the run manifest.
 func qsimRun(ctx context.Context, stdout io.Writer, f qsimFlags, results map[string]any) error {
-	tr, err := readTrace(f.in)
+	tr, err := trace.ReadFile(f.in)
 	if err != nil {
 		return err
 	}
@@ -271,9 +269,6 @@ func qsimRun(ctx context.Context, stdout io.Writer, f qsimFlags, results map[str
 		Twist: f.twist, Replications: f.reps, Seed: f.seed,
 		Progress: f.onProgress, ProgressEvery: f.progressEvery,
 	}
-	if f.mc {
-		cfg.Twist = 0
-	}
 
 	if f.search {
 		twists := []float64{0.5, 1, 1.5, 2, 2.5, 3, 3.5, 4, 4.5, 5}
@@ -324,16 +319,4 @@ func log10(p float64) float64 {
 		return math.Inf(-1)
 	}
 	return math.Log10(p)
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
 }

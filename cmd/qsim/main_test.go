@@ -48,7 +48,7 @@ func TestRunIS(t *testing.T) {
 func TestRunPlainMC(t *testing.T) {
 	path := testTracePath(t)
 	var stdout, stderr bytes.Buffer
-	err := run([]string{"-i", path, "-util", "0.8", "-buffer", "20", "-reps", "200", "-mc"},
+	err := run([]string{"-i", path, "-util", "0.8", "-buffer", "20", "-reps", "200", "-twist", "0"},
 		&stdout, &stderr)
 	if err != nil {
 		t.Fatal(err)

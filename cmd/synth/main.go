@@ -7,7 +7,7 @@
 //
 //	synth -i trace.csv -frames 65536 -o synthetic.csv
 //	synth -i trace.csv -gop -frames 65536 -compare-out cmp
-//	synth -i trace.csv -frames 1048576 -fast        # truncated-AR fast path
+//	synth -i trace.csv -frames 1048576 -backend hosking-fast  # truncated-AR fast path
 package main
 
 import (
@@ -45,7 +45,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		cmpOut      = fs.String("compare-out", "", "write <prefix>-{acf,hist,qq}.dat comparison files")
 		acfLags     = fs.Int("acf-lags", 490, "ACF comparison lags")
 		backendName = fs.String("backend", "auto", "background generator: auto, hosking, daviesharte, or hosking-fast")
-		fast        = fs.Bool("fast", false, "use the truncated-AR Hosking fast path (O(p) per step, unbounded horizon); same as -backend hosking-fast")
 		traceOut    = fs.String("trace-out", "", "write pipeline stage spans as NDJSON to this file (- for stderr)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -66,14 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		tracer = obs.NewTracer(tw)
 		ctx = obs.ContextWithTracer(ctx, tracer)
 	}
-	if *fast {
-		switch strings.ToLower(*backendName) {
-		case "", "auto", "hosking-fast", "fast":
-			*backendName = "hosking-fast"
-		default:
-			return fmt.Errorf("-fast conflicts with -backend %s", *backendName)
-		}
-	}
 	backend, err := parseBackend(*backendName)
 	if err != nil {
 		return err
@@ -81,7 +72,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	if *in == "" {
 		return fmt.Errorf("missing -i input trace")
 	}
-	tr, err := readTrace(*in)
+	tr, err := trace.ReadFile(*in)
 	if err != nil {
 		return err
 	}
@@ -130,7 +121,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	fmt.Fprintf(stdout, "mean absolute ACF error over %d lags: %.4f\n", n, mae/float64(n))
 
 	if *out != "" {
-		if err := writeTrace(*out, syn); err != nil {
+		if err := syn.WriteFile(*out); err != nil {
 			return err
 		}
 		fmt.Fprintf(stderr, "wrote %s\n", *out)
@@ -185,35 +176,6 @@ func parseBackend(name string) (core.Backend, error) {
 		return core.BackendHoskingFast, nil
 	}
 	return 0, fmt.Errorf("unknown -backend %q (want auto, hosking, daviesharte, or hosking-fast)", name)
-}
-
-func readTrace(path string) (*trace.Trace, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".bin") {
-		return trace.ReadBinary(f)
-	}
-	return trace.ReadCSV(f)
-}
-
-func writeTrace(path string, tr *trace.Trace) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if strings.HasSuffix(path, ".bin") {
-		err = tr.WriteBinary(f)
-	} else {
-		err = tr.WriteCSV(f)
-	}
-	if err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func writeDat(path string, stderr io.Writer, fill func(io.Writer)) error {

@@ -1,11 +1,11 @@
 // Command tracegen generates a synthetic empirical-style MPEG-1 VBR video
 // trace (the stand-in for the paper's "Last Action Hero" record) and writes
-// it to a file in CSV or binary form.
+// it to a file: binary when the name ends in .bin, CSV otherwise.
 //
 // Usage:
 //
 //	tracegen -frames 238626 -seed 1 -o trace.csv
-//	tracegen -frames 65536 -intra -format bin -o intra.bin
+//	tracegen -frames 65536 -intra -o intra.bin
 package main
 
 import (
@@ -32,8 +32,7 @@ func run(args []string, stderr io.Writer) error {
 	var (
 		frames  = fs.Int("frames", 1<<17, "number of frames to generate (paper: 238626)")
 		seed    = fs.Uint64("seed", 1, "random seed")
-		out     = fs.String("o", "trace.csv", "output file")
-		format  = fs.String("format", "csv", "output format: csv or bin")
+		out     = fs.String("o", "trace.csv", "output file (.bin: binary, else CSV)")
 		intra   = fs.Bool("intra", false, "intraframe-only encoding (no I/P/B alternation)")
 		alpha   = fs.Float64("scene-alpha", 0, "Pareto tail index of scene durations (default 1.2 => H=0.9)")
 		summary = fs.Bool("summary", true, "print a Table-1 style summary to stderr")
@@ -52,23 +51,7 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	switch *format {
-	case "csv":
-		err = tr.WriteCSV(f)
-	case "bin":
-		err = tr.WriteBinary(f)
-	default:
-		err = fmt.Errorf("unknown format %q (want csv or bin)", *format)
-	}
-	if err != nil {
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := tr.WriteFile(*out); err != nil {
 		return err
 	}
 

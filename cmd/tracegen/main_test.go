@@ -39,7 +39,7 @@ func TestRunBinaryIntra(t *testing.T) {
 	dir := t.TempDir()
 	out := filepath.Join(dir, "t.bin")
 	var stderr bytes.Buffer
-	err := run([]string{"-frames", "1000", "-intra", "-format", "bin", "-o", out, "-summary=false"}, &stderr)
+	err := run([]string{"-frames", "1000", "-intra", "-o", out, "-summary=false"}, &stderr)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +59,6 @@ func TestRunBinaryIntra(t *testing.T) {
 	}
 	if stderr.Len() != 0 {
 		t.Errorf("unexpected stderr: %q", stderr.String())
-	}
-}
-
-func TestRunBadFormat(t *testing.T) {
-	dir := t.TempDir()
-	var stderr bytes.Buffer
-	err := run([]string{"-frames", "100", "-format", "xml", "-o", filepath.Join(dir, "t")}, &stderr)
-	if err == nil {
-		t.Fatal("bad format accepted")
 	}
 }
 
@@ -93,10 +84,10 @@ func TestDeterministicOutput(t *testing.T) {
 	a := filepath.Join(dir, "a.bin")
 	b := filepath.Join(dir, "b.bin")
 	var stderr bytes.Buffer
-	if err := run([]string{"-frames", "500", "-seed", "9", "-format", "bin", "-o", a, "-summary=false"}, &stderr); err != nil {
+	if err := run([]string{"-frames", "500", "-seed", "9", "-o", a, "-summary=false"}, &stderr); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-frames", "500", "-seed", "9", "-format", "bin", "-o", b, "-summary=false"}, &stderr); err != nil {
+	if err := run([]string{"-frames", "500", "-seed", "9", "-o", b, "-summary=false"}, &stderr); err != nil {
 		t.Fatal(err)
 	}
 	da, _ := os.ReadFile(a)

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 
-	"vbrsim/internal/fft"
 	"vbrsim/internal/stats"
 )
 
@@ -73,9 +72,6 @@ func (p PowerLaw) At(k int) float64 {
 	return v
 }
 
-// Hurst returns the Hurst parameter implied by the power-law decay.
-func (p PowerLaw) Hurst() float64 { return 1 - p.Beta/2 }
-
 // FGN is the exact autocorrelation of fractional Gaussian noise with Hurst
 // parameter H: r(k) = ((k+1)^2H - 2k^2H + (k-1)^2H)/2.
 type FGN struct {
@@ -129,11 +125,7 @@ func (c Composite) At(k int) float64 {
 		return 1
 	}
 	if k < c.Knee {
-		var s float64
-		for i, w := range c.Weights {
-			s += w * math.Exp(-c.Rates[i]*float64(k))
-		}
-		return s
+		return c.srdValue(float64(k))
 	}
 	v := c.L * math.Pow(float64(k), -c.Beta)
 	if v > 1 {
@@ -151,12 +143,8 @@ func (c Composite) ContinuityGap() float64 {
 	if c.Knee <= 0 {
 		return 0
 	}
-	var srd float64
-	for i, w := range c.Weights {
-		srd += w * math.Exp(-c.Rates[i]*float64(c.Knee))
-	}
 	lrd := c.L * math.Pow(float64(c.Knee), -c.Beta)
-	return math.Abs(srd - lrd)
+	return math.Abs(c.srdValue(float64(c.Knee)) - lrd)
 }
 
 // Validate checks structural invariants: matching weight/rate lengths,
@@ -203,11 +191,7 @@ func (c Composite) Continuous() Composite {
 		out.Rates = []float64{-math.Log(lrdAtKnee) / float64(c.Knee)}
 		return out
 	}
-	var srdAtKnee float64
-	for i, w := range c.Weights {
-		srdAtKnee += w * math.Exp(-c.Rates[i]*float64(c.Knee))
-	}
-	out.L = srdAtKnee * math.Pow(float64(c.Knee), c.Beta)
+	out.L = c.srdValue(float64(c.Knee)) * math.Pow(float64(c.Knee), c.Beta)
 	return out
 }
 
@@ -342,17 +326,13 @@ func (s Scaled) At(k int) float64 {
 // ---------------------------------------------------------------------------
 // Knee detection
 
-// DetectKnee locates the lag at which an empirical ACF transitions from fast
+// detectKnee locates the lag at which an empirical ACF transitions from fast
 // exponential decay to slow power-law decay. It slides a candidate knee
 // across [minKnee, maxKnee], fits an exponential below and a power law at or
 // above the candidate, and returns the candidate minimizing total squared
-// error in correlation space. The empirical acf must include lag 0.
-func DetectKnee(empirical []float64, minKnee, maxKnee int) (int, error) {
-	return detectKnee(empirical, minKnee, maxKnee, 0)
-}
-
-// detectKnee is DetectKnee with an optional fixed power-law exponent
-// (beta > 0), so the knee choice stays consistent with a fixed-beta fit.
+// error in correlation space. The empirical acf must include lag 0. A
+// fixed power-law exponent beta > 0 keeps the knee choice consistent with
+// a fixed-beta fit; beta = 0 fits the exponent too.
 func detectKnee(empirical []float64, minKnee, maxKnee int, beta float64) (int, error) {
 	if minKnee < 4 {
 		minKnee = 4
@@ -611,54 +591,6 @@ func Compensate(rhat Composite, a float64) (Composite, error) {
 		return Composite{}, err
 	}
 	return out, nil
-}
-
-// SpectralDensity evaluates the spectral density implied by the model's
-// first n lags: f(w_j) = sum_k r(|k|) e^{-i w_j k} over the circulant
-// embedding of size 2n, returned at the non-negative frequencies
-// w_j = pi j / n, j = 0..n. Negative values reveal that the truncated
-// sequence is not positive semi-definite (the same check Davies-Harte
-// construction performs); MinEigenvalue summarizes that directly.
-func SpectralDensity(m Model, n int) (freqs, density []float64, err error) {
-	if n < 2 {
-		return nil, nil, errors.New("acf: spectral density needs n >= 2")
-	}
-	size := fft.NextPowerOfTwo(2 * n)
-	c := make([]complex128, size)
-	half := size / 2
-	for j := 0; j <= half; j++ {
-		c[j] = complex(m.At(j), 0)
-	}
-	for j := half + 1; j < size; j++ {
-		c[j] = c[size-j]
-	}
-	if err := fft.Forward(c); err != nil {
-		return nil, nil, err
-	}
-	freqs = make([]float64, half+1)
-	density = make([]float64, half+1)
-	for j := 0; j <= half; j++ {
-		freqs[j] = math.Pi * float64(j) / float64(half)
-		density[j] = real(c[j])
-	}
-	return freqs, density, nil
-}
-
-// MinEigenvalue returns the smallest circulant-embedding eigenvalue of the
-// model truncated at n lags. Non-negative means the truncation is a valid
-// (embeddable) correlation sequence.
-func MinEigenvalue(m Model, n int) (float64, error) {
-	_, density, err := SpectralDensity(m, n)
-	if err != nil {
-		return 0, err
-	}
-	min := math.Inf(1)
-	for _, v := range density {
-		if v < min {
-			min = v
-		}
-	}
-	return min, nil
 }
 
 // Clamped wraps a model and clamps every lag's value into [-1+eps, 1] and

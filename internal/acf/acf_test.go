@@ -46,12 +46,6 @@ func TestPowerLawClamp(t *testing.T) {
 	}
 }
 
-func TestPowerLawHurst(t *testing.T) {
-	if got := (PowerLaw{Beta: 0.2}).Hurst(); got != 0.9 {
-		t.Errorf("Hurst = %v, want 0.9", got)
-	}
-}
-
 func TestFGNKnownProperties(t *testing.T) {
 	// H=0.5 is white noise.
 	f := FGN{H: 0.5}
@@ -279,7 +273,7 @@ func TestDetectKneeOnSyntheticData(t *testing.T) {
 		srdAtKnee := math.Exp(-0.03 * float64(trueKnee))
 		truth.L = srdAtKnee * math.Pow(float64(trueKnee), 0.2)
 		empirical := Table(truth, 400)
-		got, err := DetectKnee(empirical, 10, 150)
+		got, err := detectKnee(empirical, 10, 150, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -398,66 +392,6 @@ func TestClamped(t *testing.T) {
 	}
 	if got := c.At(0); got != 1 {
 		t.Errorf("clamped At(0) = %v, want 1", got)
-	}
-}
-
-func TestSpectralDensityWhiteIsFlat(t *testing.T) {
-	freqs, density, err := SpectralDensity(White{}, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(freqs) != len(density) || len(freqs) == 0 {
-		t.Fatal("bad lengths")
-	}
-	for j, v := range density {
-		if math.Abs(v-1) > 1e-12 {
-			t.Fatalf("white density[%d] = %v, want 1", j, v)
-		}
-	}
-	if freqs[0] != 0 || math.Abs(freqs[len(freqs)-1]-math.Pi) > 1e-12 {
-		t.Errorf("frequency range [%v, %v]", freqs[0], freqs[len(freqs)-1])
-	}
-}
-
-func TestSpectralDensityAR1ClosedForm(t *testing.T) {
-	// For r(k) = phi^|k| the spectral density is
-	// (1 - phi^2) / (1 - 2 phi cos w + phi^2); truncation error is
-	// O(phi^n), negligible here.
-	phi := 0.6
-	m := Exponential{Lambda: -math.Log(phi)}
-	freqs, density, err := SpectralDensity(m, 256)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := range freqs {
-		w := freqs[j]
-		want := (1 - phi*phi) / (1 - 2*phi*math.Cos(w) + phi*phi)
-		if math.Abs(density[j]-want) > 1e-6 {
-			t.Fatalf("density(%v) = %v, want %v", w, density[j], want)
-		}
-	}
-}
-
-func TestMinEigenvalueDiagnosesPD(t *testing.T) {
-	// Continuous convex composite: non-negative spectrum.
-	good := PaperComposite().Continuous()
-	min, err := MinEigenvalue(good, 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if min < -1e-6 {
-		t.Errorf("continuous composite min eigenvalue %v", min)
-	}
-	// The raw paper fit (with its knee jump) goes measurably negative.
-	bad, err := MinEigenvalue(PaperComposite(), 512)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bad >= min {
-		t.Errorf("raw fit eigenvalue %v not worse than continuous %v", bad, min)
-	}
-	if _, _, err := SpectralDensity(White{}, 1); err == nil {
-		t.Error("n=1 accepted")
 	}
 }
 

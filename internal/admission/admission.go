@@ -101,34 +101,6 @@ func MaxSources(src norros.Params, l Link) (int, error) {
 	return lo, nil
 }
 
-// MultiplexingGain returns the ratio of admitted sources to the
-// peak-allocation count capacity/peakRate — the statistical multiplexing
-// gain CAC delivers over peak provisioning.
-func MultiplexingGain(src norros.Params, peakRate float64, l Link) (float64, error) {
-	if peakRate <= src.MeanRate {
-		return 0, errors.New("admission: peak rate must exceed mean rate")
-	}
-	n, err := MaxSources(src, l)
-	if err != nil {
-		return 0, err
-	}
-	peakCount := l.Capacity / peakRate
-	if peakCount <= 0 {
-		return 0, errors.New("admission: link cannot carry one peak-rate source")
-	}
-	return float64(n) / peakCount, nil
-}
-
-// UtilizationAtMax returns the link utilization when loaded with the
-// maximum admissible source count.
-func UtilizationAtMax(src norros.Params, l Link) (float64, error) {
-	n, err := MaxSources(src, l)
-	if err != nil {
-		return 0, err
-	}
-	return float64(n) * src.MeanRate / l.Capacity, nil
-}
-
 // MarkovianMaxSources is the SRD strawman: it applies the classical
 // effective-bandwidth formula for exponentially-decaying (H = 1/2) traffic
 // with the same mean and variance coefficient, i.e. the admission decision

@@ -126,32 +126,6 @@ func TestLRDBacksOffVsMarkovian(t *testing.T) {
 	}
 }
 
-func TestUtilizationAtMax(t *testing.T) {
-	l := testLink()
-	u, err := UtilizationAtMax(testSrc, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u <= 0 || u >= 1 {
-		t.Errorf("utilization at max = %v", u)
-	}
-}
-
-func TestMultiplexingGain(t *testing.T) {
-	l := testLink()
-	peak := 10 * testSrc.MeanRate
-	g, err := MultiplexingGain(testSrc, peak, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g <= 1 {
-		t.Errorf("multiplexing gain = %v, want > 1", g)
-	}
-	if _, err := MultiplexingGain(testSrc, testSrc.MeanRate/2, l); err == nil {
-		t.Error("peak below mean accepted")
-	}
-}
-
 func TestAdmissionLossVerified(t *testing.T) {
 	// The Norros bound at the admitted count must respect the loss target
 	// (by construction) and be within an order of magnitude of it at the

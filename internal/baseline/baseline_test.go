@@ -58,7 +58,7 @@ func TestFGNOnlyBackground(t *testing.T) {
 }
 
 func TestDAR1Validate(t *testing.T) {
-	good := DAR1{Rho: 0.9, Marginal: dist.Exponential{Lambda: 1}}
+	good := DAR1{Rho: 0.9, Marginal: dist.Gamma{Shape: 1, Scale: 1}}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid DAR1 rejected: %v", err)
 	}
@@ -81,7 +81,7 @@ func TestDAR1MarginalExact(t *testing.T) {
 }
 
 func TestDAR1ACFGeometric(t *testing.T) {
-	d := DAR1{Rho: 0.7, Marginal: dist.Exponential{Lambda: 1}}
+	d := DAR1{Rho: 0.7, Marginal: dist.Gamma{Shape: 1, Scale: 1}}
 	r := rng.New(2)
 	path := d.ArrivalPath(r, 400000)
 	a := stats.Autocorrelation(path, 6)

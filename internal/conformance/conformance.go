@@ -165,13 +165,8 @@ type Hooks struct {
 	CheckDone func(index, total int, res Result)
 }
 
-// RunSuite executes the checks sequentially (deterministic plan-cache
-// warmup order) and aggregates the report.
-func RunSuite(ctx context.Context, checks []Check, cfg Config) Report {
-	return RunSuiteHooks(ctx, checks, cfg, Hooks{})
-}
-
-// RunSuiteHooks is RunSuite with per-check progress callbacks.
+// RunSuiteHooks executes the checks sequentially (deterministic plan-cache
+// warmup order), calling hooks around each one, and aggregates the report.
 func RunSuiteHooks(ctx context.Context, checks []Check, cfg Config, hooks Hooks) Report {
 	rep := Report{Mode: cfg.Mode(), Seed: cfg.Seed, Passed: true}
 	suiteStart := time.Now()

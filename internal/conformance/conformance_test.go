@@ -59,7 +59,7 @@ func TestQuickSuitePassesAndIsDeterministic(t *testing.T) {
 	}
 	ctx := context.Background()
 	cfg := Config{Seed: DefaultSeed}
-	first := RunSuite(ctx, Suite(), cfg)
+	first := RunSuiteHooks(ctx, Suite(), cfg, Hooks{})
 	if !first.Passed {
 		for _, r := range first.Results {
 			if !r.Passed {
@@ -68,7 +68,7 @@ func TestQuickSuitePassesAndIsDeterministic(t *testing.T) {
 		}
 		t.Fatal("quick suite must pass on main")
 	}
-	second := RunSuite(ctx, Suite(), cfg)
+	second := RunSuiteHooks(ctx, Suite(), cfg, Hooks{})
 	if got, want := metricFingerprint(t, second), metricFingerprint(t, first); got != want {
 		t.Fatalf("suite is not deterministic:\nfirst:  %s\nsecond: %s", want, got)
 	}
@@ -191,7 +191,7 @@ func TestReportJSONRoundTrip(t *testing.T) {
 func TestRunSuiteCancelledContext(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	rep := RunSuite(ctx, Suite(), Config{Seed: 1})
+	rep := RunSuiteHooks(ctx, Suite(), Config{Seed: 1}, Hooks{})
 	if rep.Passed {
 		t.Fatal("suite passed under a cancelled context")
 	}

@@ -5,22 +5,17 @@ import (
 	"testing"
 
 	"vbrsim/internal/acf"
-	"vbrsim/internal/par"
 	"vbrsim/internal/rng"
 )
 
-// Path-engine ablations: the batched zero-alloc engine (PathReference ->
-// PathInto -> PathRealInto/Batch), plus the telemetry off/on pair that
-// prices the instrumented par fan-out on a real hot path.
+// Path-engine ablations: the zero-alloc engine ladder (PathReference ->
+// PathInto -> PathRealInto).
 
 // benchModel is the fixture background process: FGN with H = 0.8, a
 // long-range dependent model in the paper's regime.
 var benchModel = acf.FGN{H: 0.8}
 
-const (
-	dhLen     = 4096 // path length (circulant size 8192)
-	dhBatchSz = 8    // paths per Batch op
-)
+const dhLen = 4096 // path length (circulant size 8192)
 
 var (
 	dhOnce sync.Once
@@ -76,66 +71,10 @@ func BenchmarkDHPathRealInto(b *testing.B) {
 	}
 }
 
-// BenchmarkDHBatch generates dhBatchSz seeded paths per op through the
-// batch engine with one reused scratch arena (the zero-alloc inline
-// layout).
-func BenchmarkDHBatch(b *testing.B) {
-	plan := getDHPlan(b)
-	dst, seeds, scratch := batchFixture()
-	if err := plan.Batch(dst, seeds, scratch); err != nil { // warm the arena
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.Batch(dst, seeds, scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDHPathTelemetryOff generates a batch with the par observer
-// uninstalled (the zero-alloc inline fan-out path).
-func BenchmarkDHPathTelemetryOff(b *testing.B) {
-	benchDHBatchObserved(b)
-}
-
-// BenchmarkDHPathTelemetryOn generates the identical batch with a
-// worker-pool observer installed, forcing the instrumented fan-out
-// (per-worker busy clocks, in-flight peak tracking). Output stays
-// bit-identical; only the bookkeeping differs.
-func BenchmarkDHPathTelemetryOn(b *testing.B) {
-	par.SetObserver(func(par.RunStats) {})
-	defer par.SetObserver(nil)
-	benchDHBatchObserved(b)
-}
-
-func benchDHBatchObserved(b *testing.B) {
-	plan := getDHPlan(b)
-	dst, seeds, scratch := batchFixture()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := plan.Batch(dst, seeds, scratch); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// batchFixture is dhBatchSz destination rows of dhLen frames, seeds 1..8,
-// and one shared scratch arena.
-func batchFixture() ([][]float64, []uint64, []*Scratch) {
-	dst := make([][]float64, dhBatchSz)
-	seeds := make([]uint64, dhBatchSz)
-	for i := range dst {
-		dst[i] = make([]float64, dhLen)
-		seeds[i] = uint64(i + 1)
-	}
-	return dst, seeds, []*Scratch{new(Scratch)}
-}
-
-// TestDHSteadyStateZeroAlloc is the alloc gate behind BenchmarkDHPathInto,
-// BenchmarkDHPathRealInto and BenchmarkDHBatch: on their fixture (n=4096,
-// an 8-row Batch sharing one scratch), after one warm call grows the
-// scratch arena the steady-state synthesis loops must not allocate at all.
+// TestDHSteadyStateZeroAlloc is the alloc gate behind BenchmarkDHPathInto
+// and BenchmarkDHPathRealInto: on their fixture (n=4096), after one warm
+// call grows the scratch arena the steady-state synthesis loops must not
+// allocate at all.
 // The benchmarks warm before ResetTimer for the same reason, so their
 // allocs/op columns report the steady state this test enforces.
 func TestDHSteadyStateZeroAlloc(t *testing.T) {
@@ -165,26 +104,6 @@ func TestDHSteadyStateZeroAlloc(t *testing.T) {
 			plan.PathRealInto(out, &s, r)
 		}); allocs != 0 {
 			t.Fatalf("PathRealInto steady state allocates %v/op, want 0", allocs)
-		}
-	})
-
-	t.Run("Batch", func(t *testing.T) {
-		dst := make([][]float64, dhBatchSz)
-		seeds := make([]uint64, dhBatchSz)
-		for i := range dst {
-			dst[i] = make([]float64, dhLen)
-			seeds[i] = uint64(i + 1)
-		}
-		scratch := []*Scratch{new(Scratch)}
-		if err := plan.Batch(dst, seeds, scratch); err != nil {
-			t.Fatal(err)
-		}
-		if allocs := testing.AllocsPerRun(10, func() {
-			if err := plan.Batch(dst, seeds, scratch); err != nil {
-				t.Fatal(err)
-			}
-		}); allocs != 0 {
-			t.Fatalf("Batch steady state (single worker) allocates %v/op, want 0", allocs)
 		}
 	})
 }

@@ -19,7 +19,6 @@ import (
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/fft"
-	"vbrsim/internal/par"
 	"vbrsim/internal/rng"
 )
 
@@ -30,8 +29,7 @@ var ErrNotEmbeddable = errors.New("daviesharte: circulant embedding is not posit
 // Options configures plan construction.
 type Options struct {
 	// AllowApprox accepts embeddings with negative eigenvalues by clamping
-	// them to zero. The resulting process is approximate; NegativeMass on
-	// the plan quantifies the distortion.
+	// them to zero. The resulting process is approximate.
 	AllowApprox bool
 	// Tolerance is the relative negative-eigenvalue mass accepted without
 	// AllowApprox; default 1e-9.
@@ -41,12 +39,11 @@ type Options struct {
 // Plan holds the precomputed eigenvalue square roots for sample generation.
 // A Plan is immutable after construction and safe for concurrent use.
 type Plan struct {
-	n            int       // requested path length
-	m            int       // circulant size (power of two, >= 2n)
-	sqrtLambda   []float64 // sqrt(eigenvalue / m), length m
-	scale        []float64 // sqrtLambda[k] / sqrt(2) for k = 1..m/2-1
-	weights      []float64 // per-bin half-spectrum scales, length m/2+1
-	negativeMass float64   // relative mass of clamped negative eigenvalues
+	n          int       // requested path length
+	m          int       // circulant size (power of two, >= 2n)
+	sqrtLambda []float64 // sqrt(eigenvalue / m), length m
+	scale      []float64 // sqrtLambda[k] / sqrt(2) for k = 1..m/2-1
+	weights    []float64 // per-bin half-spectrum scales, length m/2+1
 }
 
 // NewPlan builds a circulant embedding for paths of length n with the given
@@ -108,25 +105,19 @@ func NewPlan(model acf.Model, n int, opt Options) (*Plan, error) {
 	weights[0] = sqrtLambda[0]
 	weights[m/2] = sqrtLambda[m/2]
 	copy(weights[1:m/2], scale[1:])
-	return &Plan{n: n, m: m, sqrtLambda: sqrtLambda, scale: scale, weights: weights, negativeMass: rel}, nil
+	return &Plan{n: n, m: m, sqrtLambda: sqrtLambda, scale: scale, weights: weights}, nil
 }
 
 // Len returns the path length the plan produces.
 func (p *Plan) Len() int { return p.n }
 
-// NegativeMass returns the relative mass of eigenvalues that had to be
-// clamped to zero; 0 means the synthesis is exact.
-func (p *Plan) NegativeMass() float64 { return p.negativeMass }
-
 // Scratch holds the reusable work buffers for PathInto and PathRealInto. The
 // zero value is ready to use; buffers grow on demand and are retained, so a
 // Scratch reused with one plan performs no steady-state allocations. A
-// Scratch also embeds the per-worker generator Batch reseeds for each path.
-// A Scratch must not be shared between concurrent calls.
+// Scratch must not be shared between concurrent calls.
 type Scratch struct {
-	a   []complex128
-	z   []complex128
-	src rng.Source
+	a []complex128
+	z []complex128
 }
 
 // grow sizes the buffers for a plan with circulant size m: a serves both the
@@ -224,51 +215,6 @@ func (p *Plan) Path(r *rng.Source) []float64 {
 	out := make([]float64, p.n)
 	p.PathInto(out, nil, r)
 	return out
-}
-
-// Batch fills dst[i] with the path generated from seed seeds[i], for every i,
-// fanning the work across len(scratch) workers (one arena each; nil entries
-// are allocated on first use). Each path is produced by PathRealInto with a
-// generator reseeded to rng.New(seeds[i]), so path i depends only on seeds[i]
-// and the output is bit-identical for any worker count. With a single scratch
-// the batch runs inline on the calling goroutine and performs no steady-state
-// allocations.
-func (p *Plan) Batch(dst [][]float64, seeds []uint64, scratch []*Scratch) error {
-	if len(dst) != len(seeds) {
-		return fmt.Errorf("daviesharte: Batch got %d destinations and %d seeds", len(dst), len(seeds))
-	}
-	if len(scratch) == 0 {
-		return errors.New("daviesharte: Batch needs at least one scratch arena")
-	}
-	for _, d := range dst {
-		if len(d) < p.n {
-			return fmt.Errorf("daviesharte: Batch destination shorter than path length %d", p.n)
-		}
-	}
-	if len(scratch) == 1 {
-		// Inline single-worker loop: no goroutines and no closure, so a
-		// reused scratch arena makes the whole batch allocation-free.
-		s := scratch[0]
-		if s == nil {
-			s = &Scratch{}
-			scratch[0] = s
-		}
-		for i := range dst {
-			s.src.Reseed(seeds[i])
-			p.PathRealInto(dst[i], s, &s.src)
-		}
-		return nil
-	}
-	par.For(len(scratch), len(dst), func(worker, i int) {
-		s := scratch[worker]
-		if s == nil {
-			s = &Scratch{}
-			scratch[worker] = s
-		}
-		s.src.Reseed(seeds[i])
-		p.PathRealInto(dst[i], s, &s.src)
-	})
-	return nil
 }
 
 // PathReference is the seed implementation of Path — per-call allocations and

@@ -61,66 +61,8 @@ func TestPathRealIntoMatchesPath(t *testing.T) {
 	}
 }
 
-// TestBatchWorkerInvariant checks Batch output depends only on the seeds:
-// 1 worker and 8 workers produce bit-identical paths, and each path matches a
-// direct PathRealInto with the same seed.
-func TestBatchWorkerInvariant(t *testing.T) {
-	const n, b = 512, 37
-	p, err := NewPlan(acf.FGN{H: 0.9}, n, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seeds := make([]uint64, b)
-	for i := range seeds {
-		seeds[i] = uint64(1000 + i*7)
-	}
-	run := func(workers int) [][]float64 {
-		dst := make([][]float64, b)
-		for i := range dst {
-			dst[i] = make([]float64, n)
-		}
-		if err := p.Batch(dst, seeds, make([]*Scratch, workers)); err != nil {
-			t.Fatal(err)
-		}
-		return dst
-	}
-	one := run(1)
-	eight := run(8)
-	var s Scratch
-	direct := make([]float64, n)
-	for i := range one {
-		p.PathRealInto(direct, &s, rng.New(seeds[i]))
-		for j := 0; j < n; j++ {
-			if math.Float64bits(one[i][j]) != math.Float64bits(eight[i][j]) {
-				t.Fatalf("path %d frame %d: workers=1 %v != workers=8 %v", i, j, one[i][j], eight[i][j])
-			}
-			if math.Float64bits(one[i][j]) != math.Float64bits(direct[j]) {
-				t.Fatalf("path %d frame %d: batch %v != direct PathRealInto %v", i, j, one[i][j], direct[j])
-			}
-		}
-	}
-}
-
-func TestBatchValidation(t *testing.T) {
-	p, err := NewPlan(acf.FGN{H: 0.7}, 64, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := [][]float64{make([]float64, 64)}
-	if err := p.Batch(dst, []uint64{1, 2}, make([]*Scratch, 1)); err == nil {
-		t.Error("mismatched dst/seeds lengths accepted")
-	}
-	if err := p.Batch(dst, []uint64{1}, nil); err == nil {
-		t.Error("empty scratch list accepted")
-	}
-	if err := p.Batch([][]float64{make([]float64, 10)}, []uint64{1}, make([]*Scratch, 1)); err == nil {
-		t.Error("short destination accepted")
-	}
-}
-
 // TestPathEngineZeroAlloc is the allocation regression gate for the hot
-// paths: PathInto, PathRealInto, and single-worker Batch must not allocate at
-// steady state.
+// paths: PathInto and PathRealInto must not allocate at steady state.
 func TestPathEngineZeroAlloc(t *testing.T) {
 	const n = 1024
 	p, err := NewPlan(acf.FGN{H: 0.9}, n, Options{})
@@ -137,18 +79,5 @@ func TestPathEngineZeroAlloc(t *testing.T) {
 	p.PathRealInto(dst, &s, r)
 	if a := testing.AllocsPerRun(10, func() { p.PathRealInto(dst, &s, r) }); a != 0 {
 		t.Errorf("PathRealInto allocates %v/op at steady state, want 0", a)
-	}
-	batchDst := [][]float64{dst}
-	seeds := []uint64{77}
-	scratch := []*Scratch{&s}
-	if err := p.Batch(batchDst, seeds, scratch); err != nil {
-		t.Fatal(err)
-	}
-	if a := testing.AllocsPerRun(10, func() {
-		if err := p.Batch(batchDst, seeds, scratch); err != nil {
-			t.Fatal(err)
-		}
-	}); a != 0 {
-		t.Errorf("single-worker Batch allocates %v/op at steady state, want 0", a)
 	}
 }

@@ -49,12 +49,6 @@ func (n Normal) CDF(x float64) float64 {
 	return 0.5 * math.Erfc(-z/math.Sqrt2)
 }
 
-// PDF returns the Gaussian density at x.
-func (n Normal) PDF(x float64) float64 {
-	z := (x - n.Mu) / n.Sigma
-	return math.Exp(-z*z/2) / (n.Sigma * math.Sqrt(2*math.Pi))
-}
-
 // Quantile returns the Gaussian quantile using Acklam's rational
 // approximation refined by one Halley step, accurate to ~1e-15.
 func (n Normal) Quantile(p float64) float64 {
@@ -127,39 +121,6 @@ func stdNormalQuantile(p float64) float64 {
 	x = x - u/(1+x*u/2)
 	return x
 }
-
-// ---------------------------------------------------------------------------
-// Exponential
-
-// Exponential has rate Lambda (mean 1/Lambda).
-type Exponential struct {
-	Lambda float64
-}
-
-// CDF returns 1 - exp(-Lambda x) for x >= 0.
-func (e Exponential) CDF(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	return -math.Expm1(-e.Lambda * x)
-}
-
-// Quantile returns -log(1-p)/Lambda.
-func (e Exponential) Quantile(p float64) float64 {
-	if p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return math.Inf(1)
-	}
-	return -math.Log1p(-p) / e.Lambda
-}
-
-// Sample draws an exponential variate.
-func (e Exponential) Sample(r *rng.Source) float64 { return r.Exp(e.Lambda) }
-
-// Mean returns 1/Lambda.
-func (e Exponential) Mean() float64 { return 1 / e.Lambda }
 
 // ---------------------------------------------------------------------------
 // Pareto

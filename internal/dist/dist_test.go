@@ -17,7 +17,6 @@ func testDistributions() map[string]Distribution {
 	return map[string]Distribution{
 		"normal":      Normal{Mu: 3, Sigma: 2},
 		"stdnormal":   StdNormal,
-		"exponential": Exponential{Lambda: 0.5},
 		"pareto":      Pareto{Alpha: 2.5, Xm: 1.5},
 		"lognormal":   Lognormal{Mu: 1, Sigma: 0.5},
 		"gamma":       Gamma{Shape: 3.2, Scale: 2.0},

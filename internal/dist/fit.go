@@ -123,48 +123,3 @@ func FitGammaPareto(sample []float64, opt FitGammaOptions) (*GammaPareto, error)
 	}
 	return NewGammaPareto(Gamma{Shape: shape, Scale: scale}, alpha, cut)
 }
-
-// FitLognormal fits a lognormal by moment matching on the log sample.
-func FitLognormal(sample []float64) (Lognormal, error) {
-	var sum, sumSq float64
-	n := 0
-	for _, v := range sample {
-		if v > 0 {
-			lv := math.Log(v)
-			sum += lv
-			sumSq += lv * lv
-			n++
-		}
-	}
-	if n < 2 {
-		return Lognormal{}, errors.New("dist: not enough positive observations for lognormal fit")
-	}
-	mu := sum / float64(n)
-	variance := sumSq/float64(n) - mu*mu
-	if variance <= 0 {
-		return Lognormal{}, errors.New("dist: degenerate log variance")
-	}
-	return Lognormal{Mu: mu, Sigma: math.Sqrt(variance)}, nil
-}
-
-// FitGamma fits a Gamma distribution by moment matching.
-func FitGamma(sample []float64) (Gamma, error) {
-	var sum, sumSq float64
-	for _, v := range sample {
-		if v < 0 {
-			return Gamma{}, errors.New("dist: negative observation in Gamma fit")
-		}
-		sum += v
-		sumSq += v * v
-	}
-	n := float64(len(sample))
-	if n < 2 {
-		return Gamma{}, errors.New("dist: not enough observations for Gamma fit")
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if mean <= 0 || variance <= 0 {
-		return Gamma{}, errors.New("dist: degenerate moments for Gamma fit")
-	}
-	return Gamma{Shape: mean * mean / variance, Scale: variance / mean}, nil
-}

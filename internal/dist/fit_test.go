@@ -104,48 +104,6 @@ func TestFitGammaParetoValidation(t *testing.T) {
 	}
 }
 
-func TestFitLognormal(t *testing.T) {
-	r := rng.New(4)
-	sample := make([]float64, 100000)
-	for i := range sample {
-		sample[i] = r.Lognormal(2.5, 0.7)
-	}
-	got, err := FitLognormal(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Mu-2.5) > 0.02 || math.Abs(got.Sigma-0.7) > 0.02 {
-		t.Errorf("lognormal fit = %+v", got)
-	}
-	if _, err := FitLognormal([]float64{-1, 0}); err == nil {
-		t.Error("non-positive sample accepted")
-	}
-	if _, err := FitLognormal([]float64{3, 3, 3}); err == nil {
-		t.Error("constant sample accepted")
-	}
-}
-
-func TestFitGamma(t *testing.T) {
-	r := rng.New(5)
-	sample := make([]float64, 100000)
-	for i := range sample {
-		sample[i] = r.Gamma(2.2, 1300)
-	}
-	got, err := FitGamma(sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got.Shape-2.2) > 0.1 || math.Abs(got.Scale-1300) > 60 {
-		t.Errorf("gamma fit = %+v", got)
-	}
-	if _, err := FitGamma([]float64{1, -2}); err == nil {
-		t.Error("negative observation accepted")
-	}
-	if _, err := FitGamma([]float64{1}); err == nil {
-		t.Error("single observation accepted")
-	}
-}
-
 func TestFitGammaParetoOnVideoLikeSample(t *testing.T) {
 	// Gamma body + occasional huge scene bursts: the fitted hybrid must be
 	// usable as a transform target (finite mean, monotone quantile).

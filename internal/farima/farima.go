@@ -1,17 +1,14 @@
 // Package farima implements the fractional ARIMA(0,d,0) process of Hosking
 // (1981), the asymptotically self-similar model that Garrett & Willinger used
 // to synthesize VBR video traffic and that this paper's unified approach
-// extends. It provides the exact autocorrelation (as an acf.Model), exact
-// generation through the Durbin–Levinson plan, and the truncated MA(infinity)
-// approximation for streaming generation of arbitrarily long traces.
+// extends. It provides the exact autocorrelation of FARIMA(0,d,0) (as an
+// acf.Model) and the full FARIMA(1,d,1) model with its fit; exact generation
+// runs through a hosking plan built on either.
 package farima
 
 import (
 	"errors"
 	"math"
-
-	"vbrsim/internal/hosking"
-	"vbrsim/internal/rng"
 )
 
 // ACF is the exact autocorrelation of FARIMA(0,d,0):
@@ -48,98 +45,10 @@ func (a ACF) At(k int) float64 {
 	return math.Exp(lg1-lg2) * math.Pow(float64(k), 2*d-1)
 }
 
-// Hurst returns D + 1/2.
-func (a ACF) Hurst() float64 { return a.D + 0.5 }
-
-// FromHurst returns the FARIMA(0,d,0) ACF with d = H - 1/2.
-func FromHurst(h float64) ACF { return ACF{D: h - 0.5} }
-
 // Validate checks that D lies in the stationary-invertible LRD range.
 func (a ACF) Validate() error {
 	if a.D <= -0.5 || a.D >= 0.5 {
 		return errors.New("farima: d must lie in (-1/2, 1/2)")
 	}
 	return nil
-}
-
-// NewPlan builds an exact Durbin–Levinson generation plan of length n.
-// For FARIMA(0,d,0) the partial correlations are phi_kk = d/(k-d), which the
-// plan recovers numerically; this identity is used in tests.
-func NewPlan(d float64, n int) (*hosking.Plan, error) {
-	a := ACF{D: d}
-	if err := a.Validate(); err != nil {
-		return nil, err
-	}
-	return hosking.NewPlan(a, n)
-}
-
-// MAGenerator approximates FARIMA(0,d,0) by the truncated moving-average
-// representation X_t = sum_{j=0}^{M-1} psi_j eps_{t-j} with
-// psi_j = Gamma(j+d)/(Gamma(j+1) Gamma(d)). The output is rescaled to unit
-// variance. Truncation caps how much long-range dependence survives beyond
-// lag ~M; choose M several times the largest lag of interest.
-type MAGenerator struct {
-	psi []float64
-	buf []float64 // ring buffer of the last len(psi) innovations
-	pos int
-	rng *rng.Source
-}
-
-// NewMAGenerator builds a truncated MA(infinity) generator with M weights.
-func NewMAGenerator(d float64, m int, r *rng.Source) (*MAGenerator, error) {
-	if err := (ACF{D: d}).Validate(); err != nil {
-		return nil, err
-	}
-	if m <= 0 {
-		return nil, errors.New("farima: non-positive truncation length")
-	}
-	psi := make([]float64, m)
-	psi[0] = 1
-	for j := 1; j < m; j++ {
-		// psi_j = psi_{j-1} * (j-1+d)/j
-		psi[j] = psi[j-1] * (float64(j) - 1 + d) / float64(j)
-	}
-	// Normalize to unit output variance: var = sum psi_j^2.
-	var v float64
-	for _, p := range psi {
-		v += p * p
-	}
-	s := 1 / math.Sqrt(v)
-	for j := range psi {
-		psi[j] *= s
-	}
-	g := &MAGenerator{psi: psi, buf: make([]float64, m), rng: r}
-	// Warm up the innovation history so the first outputs are stationary.
-	for i := 0; i < m; i++ {
-		g.buf[i] = r.Norm()
-	}
-	return g, nil
-}
-
-// Next returns the next sample of the approximate FARIMA process.
-func (g *MAGenerator) Next() float64 {
-	g.buf[g.pos] = g.rng.Norm()
-	var x float64
-	idx := g.pos
-	for _, p := range g.psi {
-		x += p * g.buf[idx]
-		idx--
-		if idx < 0 {
-			idx = len(g.buf) - 1
-		}
-	}
-	g.pos++
-	if g.pos == len(g.buf) {
-		g.pos = 0
-	}
-	return x
-}
-
-// Path returns n consecutive samples.
-func (g *MAGenerator) Path(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = g.Next()
-	}
-	return out
 }

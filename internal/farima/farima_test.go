@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"vbrsim/internal/hosking"
 	"vbrsim/internal/rng"
 	"vbrsim/internal/stats"
 )
@@ -48,15 +49,6 @@ func TestACFAsymptoticCrossover(t *testing.T) {
 	}
 }
 
-func TestHurstMapping(t *testing.T) {
-	if got := (ACF{D: 0.4}).Hurst(); got != 0.9 {
-		t.Errorf("Hurst = %v, want 0.9", got)
-	}
-	if got := FromHurst(0.9).D; math.Abs(got-0.4) > 1e-15 {
-		t.Errorf("FromHurst(0.9).D = %v, want 0.4", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	for _, d := range []float64{-0.5, 0.5, 0.7, -1} {
 		if err := (ACF{D: d}).Validate(); err == nil {
@@ -71,7 +63,7 @@ func TestValidate(t *testing.T) {
 func TestPlanPartialCorrelationsIdentity(t *testing.T) {
 	// FARIMA(0,d,0) has phi_kk = d/(k-d) exactly (Hosking 1981).
 	d := 0.3
-	p, err := NewPlan(d, 200)
+	p, err := hosking.NewPlan(ACF{D: d}, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,15 +75,9 @@ func TestPlanPartialCorrelationsIdentity(t *testing.T) {
 	}
 }
 
-func TestPlanRejectsBadD(t *testing.T) {
-	if _, err := NewPlan(0.6, 10); err == nil {
-		t.Error("d=0.6 accepted")
-	}
-}
-
 func TestExactGenerationACF(t *testing.T) {
 	d := 0.4
-	p, err := NewPlan(d, 800)
+	p, err := hosking.NewPlan(ACF{D: d}, 800)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,58 +99,4 @@ func TestExactGenerationACF(t *testing.T) {
 			t.Errorf("acf[%d] = %v, want %v", k, got, want)
 		}
 	}
-}
-
-func TestMAGeneratorACF(t *testing.T) {
-	d := 0.3
-	g, err := NewMAGenerator(d, 4096, rng.New(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := g.Path(1 << 17)
-	model := ACF{D: d}
-	a := stats.AutocorrelationKnownMean(x, 0, 50)
-	for _, k := range []int{1, 2, 5, 10, 30, 50} {
-		want := model.At(k)
-		if math.Abs(a[k]-want) > 0.05 {
-			t.Errorf("MA acf[%d] = %v, want %v", k, a[k], want)
-		}
-	}
-	// Unit variance by construction.
-	_, v := stats.MeanVar(x)
-	if math.Abs(v-1) > 0.1 {
-		t.Errorf("MA variance = %v, want ~1", v)
-	}
-}
-
-func TestMAGeneratorValidation(t *testing.T) {
-	if _, err := NewMAGenerator(0.9, 100, rng.New(1)); err == nil {
-		t.Error("bad d accepted")
-	}
-	if _, err := NewMAGenerator(0.3, 0, rng.New(1)); err == nil {
-		t.Error("zero truncation accepted")
-	}
-}
-
-func TestMAGeneratorDeterminism(t *testing.T) {
-	g1, _ := NewMAGenerator(0.3, 128, rng.New(77))
-	g2, _ := NewMAGenerator(0.3, 128, rng.New(77))
-	for i := 0; i < 1000; i++ {
-		if g1.Next() != g2.Next() {
-			t.Fatalf("MA generator not deterministic at step %d", i)
-		}
-	}
-}
-
-func BenchmarkMAGeneratorNext(b *testing.B) {
-	g, err := NewMAGenerator(0.4, 1024, rng.New(1))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += g.Next()
-	}
-	_ = sink
 }

@@ -181,12 +181,6 @@ func Autocorrelation(x []float64, maxLag int) []float64 {
 	return normalizeACF(Autocovariance(x, maxLag))
 }
 
-// AutocorrelationKnownMean is Autocorrelation with an externally supplied
-// mean; see AutocovarianceKnownMean.
-func AutocorrelationKnownMean(x []float64, mean float64, maxLag int) []float64 {
-	return normalizeACF(AutocovarianceKnownMean(x, mean, maxLag))
-}
-
 func normalizeACF(acov []float64) []float64 {
 	if len(acov) == 0 {
 		return nil

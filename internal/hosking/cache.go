@@ -12,20 +12,13 @@
 // Because a hash key can collide, every hit is verified: the cached plan's
 // autocorrelation table must match the requested model bitwise, otherwise
 // the request falls through to a direct build (bypassing the cache).
-//
-// An optional disk layer reuses the binary plan serialization: with a
-// directory configured, misses first try plan-<fingerprint>-<n>.hplan and
-// successful builds are written back best-effort.
 package hosking
 
 import (
 	"context"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"reflect"
 	"sync"
 
@@ -73,7 +66,6 @@ type CacheStats struct {
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
-	dir     string // optional disk layer; "" disables
 	tick    uint64 // LRU clock
 	stats   CacheStats
 	entries map[cacheKey]*cacheEntry
@@ -116,14 +108,6 @@ func NewPlanCache(capacity int) *PlanCache {
 		entries: make(map[cacheKey]*cacheEntry),
 		ident:   make(map[identKey]*cacheEntry),
 	}
-}
-
-// SetDir enables (non-empty) or disables (empty) the disk layer. Existing
-// in-memory entries are unaffected.
-func (c *PlanCache) SetDir(dir string) {
-	c.mu.Lock()
-	c.dir = dir
-	c.mu.Unlock()
 }
 
 // Len returns the number of cached entries (including in-flight builds).
@@ -321,10 +305,9 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	}
 	c.stats.Misses++
 	c.evictLocked()
-	dir := c.dir
 	c.mu.Unlock()
 
-	plan, err := c.build(ctx, table, n, dir, key)
+	plan, err := NewPlanOptsCtx(ctx, tableModel(table), n, PlanOptions{})
 	if err != nil {
 		c.mu.Lock()
 		delete(c.entries, key)
@@ -485,57 +468,6 @@ func (c *PlanCache) dropIdentLocked(e *cacheEntry) {
 			delete(c.ident, k)
 		}
 	}
-}
-
-// build loads the plan from the disk layer when possible, otherwise runs
-// NewPlan and writes the result back best-effort.
-func (c *PlanCache) build(ctx context.Context, table []float64, n int, dir string, key cacheKey) (*Plan, error) {
-	var path string
-	if dir != "" {
-		path = filepath.Join(dir, planFileName(key))
-		if f, err := os.Open(path); err == nil {
-			plan, rerr := ReadPlan(f)
-			f.Close()
-			if rerr == nil && plan.Len() == n && tablesEqual(plan.r, table) {
-				return plan, nil
-			}
-			// Corrupt or mismatched file: fall through to a fresh build.
-		}
-	}
-	plan, err := NewPlanOptsCtx(ctx, tableModel(table), n, PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
-	if path != "" {
-		savePlan(plan, path)
-	}
-	return plan, nil
-}
-
-// savePlan writes the plan via a temp file + rename so readers never see a
-// partial file. Failures are ignored: the disk layer is an accelerator.
-func savePlan(p *Plan, path string) {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".plan-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := p.WriteTo(tmp); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-	}
-}
-
-func planFileName(key cacheKey) string {
-	return fmt.Sprintf("plan-%016x-%d.hplan", key.fp, key.n)
 }
 
 // evictLocked drops least-recently-used ready entries until the cache is

@@ -2,8 +2,6 @@ package hosking
 
 import (
 	"math"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -445,54 +443,5 @@ func TestPlanCacheErrorNotCached(t *testing.T) {
 	}
 	if c.Len() != 0 {
 		t.Fatal("failed build left an entry behind")
-	}
-}
-
-func TestPlanCacheDiskLayer(t *testing.T) {
-	dir := t.TempDir()
-	model := acf.FGN{H: 0.75}
-
-	c1 := NewPlanCache(4)
-	c1.SetDir(dir)
-	p1, err := c1.Get(model, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	files, _ := filepath.Glob(filepath.Join(dir, "plan-*.hplan"))
-	if len(files) != 1 {
-		t.Fatalf("expected one plan file, got %v", files)
-	}
-
-	// A fresh cache with the same dir loads from disk; the loaded plan must
-	// generate bit-identical paths.
-	c2 := NewPlanCache(4)
-	c2.SetDir(dir)
-	p2, err := c2.Get(model, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := p1.Path(rng.New(5), 300)
-	b := p2.Path(rng.New(5), 300)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("disk-loaded plan diverges at %d", i)
-		}
-	}
-
-	// Corrupt file: fall back to a fresh build, no error.
-	if err := os.WriteFile(files[0], []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c3 := NewPlanCache(4)
-	c3.SetDir(dir)
-	p3, err := c3.Get(model, 300)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpath := p3.Path(rng.New(5), 300)
-	for i := range a {
-		if a[i] != cpath[i] {
-			t.Fatalf("rebuilt plan diverges at %d", i)
-		}
 	}
 }

@@ -39,7 +39,7 @@ import (
 // a valid (positive-definite) correlation function for the requested length.
 var ErrNotPositiveDefinite = errors.New("hosking: autocorrelation is not positive definite")
 
-// MaxPlanLen bounds plan construction and deserialization. A plan of length
+// MaxPlanLen bounds plan construction. A plan of length
 // n stores n*(n-1)/2 coefficients; 1<<17 steps is ~64 GiB of phi table, far
 // beyond practical. Longer horizons should use the Truncated fast path,
 // which can generate paths of any length from a moderate plan.
@@ -407,41 +407,3 @@ func (p *Plan) Forecast(observed []float64, n int) (mean, std []float64) {
 	}
 	return mean, std
 }
-
-// Generator is a streaming view of one sample path: each Next call extends
-// the path by one step. The history buffer is preallocated to the plan
-// length, so a full path costs no per-step allocations. It is bound to a
-// single goroutine.
-type Generator struct {
-	plan *Plan
-	rng  *rng.Source
-	x    []float64
-}
-
-// NewGenerator returns a streaming generator over the plan.
-func NewGenerator(plan *Plan, r *rng.Source) *Generator {
-	return &Generator{plan: plan, rng: r, x: make([]float64, 0, plan.n)}
-}
-
-// Next returns the next sample of the path. It panics when the plan length
-// is exhausted.
-func (g *Generator) Next() float64 {
-	k := len(g.x)
-	if k >= g.plan.n {
-		panic("hosking: generator exhausted plan length")
-	}
-	m := g.plan.CondMean(k, g.x)
-	v := g.plan.v[k]
-	x := m + math.Sqrt(v)*g.rng.Norm()
-	g.x = append(g.x, x)
-	return x
-}
-
-// Pos returns how many samples have been generated so far.
-func (g *Generator) Pos() int { return len(g.x) }
-
-// History returns the path generated so far. The caller must not modify it.
-func (g *Generator) History() []float64 { return g.x }
-
-// Reset discards the path so the generator can produce a fresh replication.
-func (g *Generator) Reset() { g.x = g.x[:0] }

@@ -179,41 +179,6 @@ func TestGeneratedPathMoments(t *testing.T) {
 	}
 }
 
-func TestGeneratorStreaming(t *testing.T) {
-	p, err := NewPlan(acf.Exponential{Lambda: 0.1}, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A generator with the same rng stream must reproduce Plan.Generate.
-	want := p.Path(rng.New(7), 100)
-	g := NewGenerator(p, rng.New(7))
-	for i := 0; i < 100; i++ {
-		if got := g.Next(); got != want[i] {
-			t.Fatalf("streaming mismatch at %d: %v vs %v", i, got, want[i])
-		}
-	}
-	if g.Pos() != 100 {
-		t.Errorf("Pos = %d, want 100", g.Pos())
-	}
-	g.Reset()
-	if g.Pos() != 0 {
-		t.Errorf("Pos after Reset = %d", g.Pos())
-	}
-}
-
-func TestGeneratorPanicsWhenExhausted(t *testing.T) {
-	p, _ := NewPlan(acf.White{}, 2)
-	g := NewGenerator(p, rng.New(1))
-	g.Next()
-	g.Next()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("exhausted generator did not panic")
-		}
-	}()
-	g.Next()
-}
-
 func TestGeneratePanicsBeyondPlan(t *testing.T) {
 	p, _ := NewPlan(acf.White{}, 4)
 	defer func() {

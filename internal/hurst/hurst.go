@@ -1,16 +1,15 @@
 // Package hurst implements the Hurst-parameter estimators used in Step 1 of
 // the paper's modeling pipeline: the variance-time plot and R/S (pox)
-// analysis, plus two further classical estimators (absolute moments and
-// periodogram regression) for cross-checking. Every estimator returns the
-// raw plot points alongside the least-squares fit so the corresponding paper
-// figures (Figs. 3 and 4) can be regenerated exactly.
+// analysis, plus the local Whittle estimator for cross-checking. The two
+// paper estimators return the raw plot points alongside the least-squares
+// fit so the corresponding paper figures (Figs. 3 and 4) can be regenerated
+// exactly.
 package hurst
 
 import (
 	"errors"
 	"math"
 
-	"vbrsim/internal/fft"
 	"vbrsim/internal/stats"
 )
 
@@ -197,117 +196,6 @@ func rescaledRange(x []float64) (float64, bool) {
 	}
 	_ = n
 	return r / s, true
-}
-
-// AbsoluteMomentsOptions controls the absolute-moments estimator.
-type AbsoluteMomentsOptions struct {
-	MinM, MaxM      int
-	PointsPerDecade int
-}
-
-// AbsoluteMoments estimates H from the first absolute moment of the centered
-// aggregated process: E|X^(m) - mean| ~ m^(H-1).
-func AbsoluteMoments(x []float64, opt AbsoluteMomentsOptions) (Estimate, error) {
-	if opt.MinM <= 0 {
-		opt.MinM = len(x) / 100
-		if opt.MinM > 100 {
-			opt.MinM = 100
-		}
-		if opt.MinM < 16 {
-			opt.MinM = 16
-		}
-	}
-	if opt.MaxM <= 0 {
-		opt.MaxM = len(x) / 10
-	}
-	if opt.PointsPerDecade <= 0 {
-		opt.PointsPerDecade = 10
-	}
-	if opt.MaxM <= opt.MinM || len(x) < 10*opt.MinM {
-		return Estimate{}, ErrShortSeries
-	}
-	mean := stats.Mean(x)
-	var logM, logAM []float64
-	step := math.Pow(10, 1/float64(opt.PointsPerDecade))
-	lastM := 0
-	for mf := float64(opt.MinM); mf <= float64(opt.MaxM); mf *= step {
-		m := int(math.Round(mf))
-		if m == lastM {
-			continue
-		}
-		lastM = m
-		agg := stats.Aggregate(x, m)
-		if len(agg) < 5 {
-			break
-		}
-		var am float64
-		for _, v := range agg {
-			am += math.Abs(v - mean)
-		}
-		am /= float64(len(agg))
-		if am <= 0 {
-			continue
-		}
-		logM = append(logM, math.Log10(float64(m)))
-		logAM = append(logAM, math.Log10(am))
-	}
-	if len(logM) < 3 {
-		return Estimate{}, ErrShortSeries
-	}
-	slope, intercept, r2, err := stats.LinearFit(logM, logAM)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{
-		H:         slope + 1,
-		Slope:     slope,
-		Intercept: intercept,
-		R2:        r2,
-		X:         logM,
-		Y:         logAM,
-	}, nil
-}
-
-// PeriodogramOptions controls the periodogram estimator.
-type PeriodogramOptions struct {
-	// LowFrequencyFraction restricts the regression to the lowest fraction
-	// of Fourier frequencies, where the spectral pole dominates; default 0.1.
-	LowFrequencyFraction float64
-}
-
-// Periodogram estimates H by regressing log I(f) on log f near the origin:
-// for LRD processes I(f) ~ f^(1-2H), so H = (1 - slope)/2.
-func Periodogram(x []float64, opt PeriodogramOptions) (Estimate, error) {
-	if opt.LowFrequencyFraction <= 0 || opt.LowFrequencyFraction > 1 {
-		opt.LowFrequencyFraction = 0.1
-	}
-	if len(x) < 128 {
-		return Estimate{}, ErrShortSeries
-	}
-	freqs, intens := fft.Periodogram(x)
-	cut := int(float64(len(freqs)) * opt.LowFrequencyFraction)
-	if cut < 8 {
-		return Estimate{}, ErrShortSeries
-	}
-	var lx, ly []float64
-	for i := 0; i < cut; i++ {
-		if intens[i] > 0 {
-			lx = append(lx, math.Log10(freqs[i]))
-			ly = append(ly, math.Log10(intens[i]))
-		}
-	}
-	slope, intercept, r2, err := stats.LinearFit(lx, ly)
-	if err != nil {
-		return Estimate{}, err
-	}
-	return Estimate{
-		H:         (1 - slope) / 2,
-		Slope:     slope,
-		Intercept: intercept,
-		R2:        r2,
-		X:         lx,
-		Y:         ly,
-	}, nil
 }
 
 // Combined runs the paper's two estimators (variance-time and R/S) with

@@ -87,28 +87,6 @@ func TestRSWhiteNoise(t *testing.T) {
 	}
 }
 
-func TestAbsoluteMomentsRecoversH(t *testing.T) {
-	x := fgnPath(t, 0.85, 1<<18, 11)
-	est, err := AbsoluteMoments(x, AbsoluteMomentsOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.H-0.85) > 0.08 {
-		t.Errorf("absolute moments H = %v, want 0.85", est.H)
-	}
-}
-
-func TestPeriodogramRecoversH(t *testing.T) {
-	x := fgnPath(t, 0.8, 1<<17, 13)
-	est, err := Periodogram(x, PeriodogramOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(est.H-0.8) > 0.1 {
-		t.Errorf("periodogram H = %v, want 0.8", est.H)
-	}
-}
-
 func TestCombined(t *testing.T) {
 	x := fgnPath(t, 0.9, 1<<18, 17)
 	h, vt, rs, err := Combined(x)
@@ -130,12 +108,6 @@ func TestShortSeriesErrors(t *testing.T) {
 	}
 	if _, err := RS(short, RSOptions{}); err == nil {
 		t.Error("RS accepted short series")
-	}
-	if _, err := AbsoluteMoments(short, AbsoluteMomentsOptions{}); err == nil {
-		t.Error("AbsoluteMoments accepted short series")
-	}
-	if _, err := Periodogram(short, PeriodogramOptions{}); err == nil {
-		t.Error("Periodogram accepted short series")
 	}
 	if _, _, _, err := Combined(short); err == nil {
 		t.Error("Combined accepted short series")

@@ -33,13 +33,11 @@ type avLevel struct {
 // through H = 1 - beta/2. The zero value is ready to use; AggVar never
 // allocates after construction.
 type AggVar struct {
-	total uint64
-	lev   [aggVarLevels]avLevel
+	lev [aggVarLevels]avLevel
 }
 
 // Push feeds one frame into the cascade.
 func (a *AggVar) Push(v float64) {
-	a.total++
 	for k := 0; ; k++ {
 		l := &a.lev[k]
 		// v is a completed block mean at scale m = 2^k: record it.
@@ -64,9 +62,6 @@ func (a *AggVar) Push(v float64) {
 		l.hasPend = false
 	}
 }
-
-// Count reports the number of frames pushed so far.
-func (a *AggVar) Count() uint64 { return a.total }
 
 // VarianceAt returns the biased variance of the aggregated series at scale
 // m = 2^level and the number of completed blocks behind it. It returns

@@ -287,10 +287,10 @@ func TestEstimateTrunkCost(t *testing.T) {
 }
 
 func TestParseTrunkRejectsUnknownFields(t *testing.T) {
-	if _, err := ParseTrunk([]byte(`{"components":[{"spec":{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10}}}],"sources":3}`)); err == nil {
+	if _, err := ParseTrunk(strings.NewReader(`{"components":[{"spec":{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10}}}],"sources":3}`)); err == nil {
 		t.Error("unknown trunk field accepted")
 	}
-	if _, err := ParseTrunk([]byte(`{"components":[]}`)); err == nil {
+	if _, err := ParseTrunk(strings.NewReader(`{"components":[]}`)); err == nil {
 		t.Error("zero-source trunk accepted")
 	}
 }

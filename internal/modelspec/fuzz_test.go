@@ -52,7 +52,7 @@ func FuzzModelSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"engine":"tes","tes":{"alpha":0.3}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := Parse(data) // must not panic, whatever the bytes
+		spec, err := Parse(bytes.NewReader(data)) // must not panic, whatever the bytes
 		if err != nil {
 			return
 		}
@@ -73,7 +73,7 @@ func FuzzModelSpecDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted spec does not marshal: %v", err)
 		}
-		back, err := Parse(wire)
+		back, err := Parse(bytes.NewReader(wire))
 		if err != nil {
 			t.Fatalf("marshal of an accepted spec does not re-parse: %v\nwire: %s", err, wire)
 		}
@@ -106,7 +106,7 @@ func FuzzTrunkSpecDecode(f *testing.F) {
 	f.Add([]byte(`null`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		spec, err := ParseTrunk(data) // must not panic, whatever the bytes
+		spec, err := ParseTrunk(bytes.NewReader(data)) // must not panic, whatever the bytes
 		if err != nil {
 			return
 		}
@@ -117,7 +117,7 @@ func FuzzTrunkSpecDecode(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted trunk does not marshal: %v", err)
 		}
-		back, err := ParseTrunk(wire)
+		back, err := ParseTrunk(bytes.NewReader(wire))
 		if err != nil {
 			t.Fatalf("marshal of an accepted trunk does not re-parse: %v\nwire: %s", err, wire)
 		}

@@ -18,11 +18,11 @@
 package modelspec
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/core"
@@ -236,9 +236,9 @@ func (m *MarginalSpec) Distribution() (dist.Distribution, error) {
 // Parse decodes and validates a JSON spec. Unknown fields are rejected so
 // typos in hand-written specs fail loudly instead of silently streaming the
 // wrong model.
-func Parse(data []byte) (*Spec, error) {
+func Parse(r io.Reader) (*Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
 		return nil, fmt.Errorf("modelspec: %w", err)
@@ -300,6 +300,11 @@ func CompactSample(e *dist.Empirical) []float64 {
 	grid := make([]float64, SampleCap)
 	for i := range grid {
 		grid[i] = e.Quantile((float64(i) + 0.5) / SampleCap)
+		// Interpolating between equal neighbours can round an ulp either
+		// way; keep the grid sorted so compacting it again is the identity.
+		if i > 0 && grid[i] < grid[i-1] {
+			grid[i] = grid[i-1]
+		}
 	}
 	return grid
 }

@@ -1,6 +1,7 @@
 package modelspec
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"strings"
@@ -27,7 +28,7 @@ func TestParseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(data)
+	got, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,16 +41,16 @@ func TestParseRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFieldsAndBadSpecs(t *testing.T) {
-	if _, err := Parse([]byte(`{"acf":{"weights":[1],"rates":[0.1],"l":0.9,"beta":0.2,"knee":60},"bogus":1}`)); err == nil {
+	if _, err := Parse(strings.NewReader(`{"acf":{"weights":[1],"rates":[0.1],"l":0.9,"beta":0.2,"knee":60},"bogus":1}`)); err == nil {
 		t.Fatal("unknown field accepted")
 	}
-	if _, err := Parse([]byte(`{"acf":{"weights":[1,2],"rates":[0.1],"l":0.9,"beta":0.2,"knee":60}}`)); err == nil {
+	if _, err := Parse(strings.NewReader(`{"acf":{"weights":[1,2],"rates":[0.1],"l":0.9,"beta":0.2,"knee":60}}`)); err == nil {
 		t.Fatal("mismatched weights/rates accepted")
 	}
 	bad := Paper()
 	bad.Marginal = &MarginalSpec{Kind: "nope"}
 	data, _ := json.Marshal(&bad)
-	if _, err := Parse(data); err == nil || !strings.Contains(err.Error(), "unknown marginal") {
+	if _, err := Parse(bytes.NewReader(data)); err == nil || !strings.Contains(err.Error(), "unknown marginal") {
 		t.Fatalf("bad marginal kind: err = %v", err)
 	}
 }
@@ -153,7 +154,7 @@ func TestFromModelRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Parse(data)
+	got, err := Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("exported spec does not re-parse: %v", err)
 	}

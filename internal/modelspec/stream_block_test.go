@@ -209,7 +209,7 @@ func TestEngineValidation(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Parse([]byte(`{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10},"engine":"warp"}`)); err == nil {
+	if _, err := Parse(strings.NewReader(`{"acf":{"weights":[1],"rates":[0.1],"l":1,"beta":0.2,"knee":10},"engine":"warp"}`)); err == nil {
 		t.Fatal("Parse accepted an unknown engine")
 	}
 }

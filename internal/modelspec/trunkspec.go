@@ -6,10 +6,10 @@
 package modelspec
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 )
 
 // MaxTrunkSources bounds the flattened source count of a trunk spec: large
@@ -146,9 +146,9 @@ func (t *TrunkSpec) Validate() error {
 
 // ParseTrunk decodes and validates a JSON trunk spec. Unknown fields are
 // rejected, as in Parse.
-func ParseTrunk(data []byte) (*TrunkSpec, error) {
+func ParseTrunk(r io.Reader) (*TrunkSpec, error) {
 	var t TrunkSpec
-	dec := json.NewDecoder(bytes.NewReader(data))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&t); err != nil {
 		return nil, fmt.Errorf("modelspec: %w", err)

@@ -67,12 +67,6 @@ type Config struct {
 	Seed uint64
 }
 
-// PaperScale returns a configuration matching the empirical record of
-// Table 1: 238,626 frames at 30 fps, 12-frame GOP, H near 0.9.
-func PaperScale(seed uint64) Config {
-	return Config{Frames: 238626, Seed: seed}
-}
-
 // withDefaults fills zero fields with defaults.
 func (c Config) withDefaults() Config {
 	if c.FrameRate == 0 {
@@ -220,9 +214,6 @@ func (g *Generator) Reseed(seed uint64) {
 	g.activity = 0
 	g.mod = g.cfg.ModSigma * g.r.Norm()
 }
-
-// Seed returns the seed of the trace being generated.
-func (g *Generator) Seed() uint64 { return g.cfg.Seed }
 
 // Pos returns the index of the next frame Next will produce.
 func (g *Generator) Pos() int { return g.pos }

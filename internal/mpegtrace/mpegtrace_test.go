@@ -177,23 +177,6 @@ func TestFullStreamACFOscillatesWithGOP(t *testing.T) {
 	}
 }
 
-func TestPaperScale(t *testing.T) {
-	cfg := PaperScale(7)
-	if cfg.Frames != 238626 {
-		t.Errorf("PaperScale frames = %d, want 238626", cfg.Frames)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Errorf("PaperScale invalid: %v", err)
-	}
-	// Duration must match Table 1: 2h12m36s = 7956 s.
-	cfg.Frames = 238626
-	c := cfg.withDefaults()
-	dur := float64(cfg.Frames) / c.FrameRate
-	if math.Abs(dur-7954.2) > 1 {
-		t.Errorf("duration = %v s, want ~7954 (2h12m36s)", dur)
-	}
-}
-
 func TestValidatePropagatedByGenerate(t *testing.T) {
 	if _, err := Generate(Config{Frames: -5}); err == nil {
 		t.Error("Generate accepted invalid config")
@@ -234,7 +217,7 @@ func TestGeneratorReseedReplay(t *testing.T) {
 	for i := range first {
 		first[i], _ = g.Next()
 	}
-	g.Reseed(g.Seed())
+	g.Reseed(5)
 	if g.Pos() != 0 {
 		t.Fatalf("Pos after Reseed = %d", g.Pos())
 	}

@@ -110,9 +110,8 @@ type Meter struct {
 	sumSq     float64
 }
 
-// NewMeter returns a meter emitting through emit (nil disables emission;
-// snapshots can still be pulled with Snapshot). every <= 0 defaults to
-// max(1, total/32).
+// NewMeter returns a meter emitting through emit (nil disables emission).
+// every <= 0 defaults to max(1, total/32).
 func NewMeter(estimator string, total, every int, emit func(Convergence)) *Meter {
 	if every <= 0 {
 		every = total / 32
@@ -145,16 +144,6 @@ func (m *Meter) Add(weight float64, hit bool) {
 	if m.emit != nil && (m.completed%m.every == 0 || m.completed == m.total) {
 		m.emit(m.snapshotLocked())
 	}
-}
-
-// Snapshot returns the current running statistics.
-func (m *Meter) Snapshot() Convergence {
-	if m == nil {
-		return Convergence{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.snapshotLocked()
 }
 
 // Finish emits a final snapshot if the last Add didn't already (e.g. the

@@ -45,12 +45,12 @@ func TestMeterPlainMC(t *testing.T) {
 }
 
 func TestMeterISWeights(t *testing.T) {
-	m := NewMeter("is", 4, 100, nil) // emit disabled; pull via Snapshot
+	var c Convergence
+	m := NewMeter("is", 4, 100, func(s Convergence) { c = s }) // emits at completion
 	m.Add(2e-6, true)
 	m.Add(0, false)
 	m.Add(6e-6, true)
 	m.Add(0, false)
-	c := m.Snapshot()
 	if c.Completed != 4 || c.Hits != 2 {
 		t.Fatalf("snapshot = %+v", c)
 	}
@@ -100,9 +100,6 @@ func TestNilMeterIsNoOp(t *testing.T) {
 	var m *Meter
 	m.Add(1, true)
 	m.Finish()
-	if c := m.Snapshot(); c.Completed != 0 {
-		t.Fatalf("nil meter snapshot = %+v", c)
-	}
 }
 
 func TestProgressWriterWholeLines(t *testing.T) {

@@ -136,14 +136,3 @@ func TestHistogramQuantileFromExposition(t *testing.T) {
 		t.Error("nil family should report !ok")
 	}
 }
-
-func TestRequestIDContext(t *testing.T) {
-	ctx := t.Context()
-	if id := RequestIDFrom(ctx); id != "" {
-		t.Errorf("empty ctx request id = %q", id)
-	}
-	ctx = ContextWithRequestID(ctx, "r-123")
-	if id := RequestIDFrom(ctx); id != "r-123" {
-		t.Errorf("request id = %q, want r-123", id)
-	}
-}

@@ -19,7 +19,7 @@ type Tracer struct {
 	mu     sync.Mutex
 	w      io.Writer // nil: collect-only (manifest rollup without a stream)
 	start  time.Time
-	retain bool // keep spans and events for Spans and Manifest
+	retain bool // keep spans and events for Manifest
 	spans  []SpanRecord
 	events []map[string]any
 }
@@ -129,16 +129,6 @@ func (t *Tracer) Event(kind string, attrs map[string]any) {
 	t.mu.Unlock()
 }
 
-// Spans returns the completed spans recorded so far.
-func (t *Tracer) Spans() []SpanRecord {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.spans...)
-}
-
 // sanitizeAttrs replaces non-finite floats, which encoding/json rejects,
 // with their string spellings.
 func sanitizeAttrs(attrs map[string]any) map[string]any {
@@ -175,21 +165,4 @@ func ContextWithTracer(ctx context.Context, t *Tracer) context.Context {
 func TracerFrom(ctx context.Context) *Tracer {
 	t, _ := ctx.Value(tracerKey{}).(*Tracer)
 	return t
-}
-
-type requestIDKey struct{}
-
-// ContextWithRequestID attaches a request id to ctx so work spawned on the
-// request path (span events, access-log lines) can be correlated.
-func ContextWithRequestID(ctx context.Context, id string) context.Context {
-	if id == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, requestIDKey{}, id)
-}
-
-// RequestIDFrom returns the request id attached to ctx, or "".
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
 }

@@ -13,7 +13,7 @@ func TestNilTracerIsNoOp(t *testing.T) {
 	sp := tr.Start("fit")
 	sp.End(map[string]any{"k": 1}) // must not panic
 	tr.Event("par.run", nil)
-	if got := tr.Spans(); got != nil {
+	if got := tr.Manifest("t", nil, 0, nil, nil).Stages; got != nil {
 		t.Fatalf("nil tracer spans = %v", got)
 	}
 	if TracerFrom(context.Background()) != nil {
@@ -52,7 +52,7 @@ func TestTracerStreamsNDJSON(t *testing.T) {
 		t.Fatalf("event line = %v", lines[1])
 	}
 
-	spans := tr.Spans()
+	spans := tr.Manifest("t", nil, 0, nil, nil).Stages
 	if len(spans) != 1 || spans[0].Stage != "plan" || spans[0].Seconds < 0 {
 		t.Fatalf("spans = %+v", spans)
 	}
@@ -71,7 +71,7 @@ func TestStreamTracerKeepsNothing(t *testing.T) {
 		t.Fatalf("streamed %d lines, want 200", lines)
 	}
 	m := tr.Manifest("trafficd", nil, 0, nil, nil)
-	if len(tr.Spans()) != 0 || len(m.Stages) != 0 || len(m.Events) != 0 {
+	if len(m.Stages) != 0 || len(m.Events) != 0 {
 		t.Fatalf("stream tracer kept %d spans, %d events", len(m.Stages), len(m.Events))
 	}
 }
@@ -84,8 +84,8 @@ func TestTracerContextRoundTrip(t *testing.T) {
 	}
 	// Collect-only tracer still records spans.
 	TracerFrom(ctx).Start("gen").End(nil)
-	if len(tr.Spans()) != 1 {
-		t.Fatalf("spans = %+v", tr.Spans())
+	if spans := tr.Manifest("t", nil, 0, nil, nil).Stages; len(spans) != 1 {
+		t.Fatalf("spans = %+v", spans)
 	}
 }
 

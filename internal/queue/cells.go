@@ -51,21 +51,6 @@ func SegmentIntoCells(frameBytes []float64, payload, slotsPerFrame int) ([]float
 	return out, nil
 }
 
-// CellCount returns the total number of cells a byte sequence segments into.
-func CellCount(frameBytes []float64, payload int) (int, error) {
-	if payload <= 0 {
-		return 0, errors.New("queue: non-positive cell payload")
-	}
-	total := 0
-	for _, b := range frameBytes {
-		if b < 0 {
-			return 0, errors.New("queue: negative frame size")
-		}
-		total += int(math.Ceil(b / float64(payload)))
-	}
-	return total, nil
-}
-
 // Superposition multiplexes N independent copies of a base source: each
 // replication draws N independent paths (from split random sources) and
 // sums them slot-wise. It implements PathSource itself, so superposed

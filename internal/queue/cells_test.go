@@ -20,13 +20,6 @@ func TestSegmentIntoCellsConservation(t *testing.T) {
 			t.Errorf("frame %d: %v cells, want %v", i, cells[i], want[i])
 		}
 	}
-	total, err := CellCount(frames, 48)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if total != 106 {
-		t.Errorf("CellCount = %d, want 106", total)
-	}
 }
 
 func TestSegmentIntoCellsSpreading(t *testing.T) {
@@ -91,12 +84,6 @@ func TestSegmentValidation(t *testing.T) {
 	}
 	if _, err := SegmentIntoCells([]float64{-1}, 48, 1); err == nil {
 		t.Error("negative frame accepted")
-	}
-	if _, err := CellCount([]float64{-1}, 48); err == nil {
-		t.Error("CellCount negative frame accepted")
-	}
-	if _, err := CellCount([]float64{1}, 0); err == nil {
-		t.Error("CellCount zero payload accepted")
 	}
 }
 

@@ -266,54 +266,6 @@ func TraceOverflow(arrivals []float64, service, b float64, warmup int) (float64,
 	return float64(exceed) / float64(count), nil
 }
 
-// OccupancyDistribution runs the Lindley recursion over one long trace and
-// returns the complementary distribution P(Q > b) sampled at the given
-// thresholds in one pass (the whole Fig.-16 x-axis from a single run),
-// after discarding warmup slots. Thresholds must be ascending.
-func OccupancyDistribution(arrivals []float64, service float64, thresholds []float64, warmup int) ([]float64, error) {
-	if len(arrivals) == 0 {
-		return nil, errors.New("queue: empty trace")
-	}
-	if warmup < 0 || warmup >= len(arrivals) {
-		return nil, errors.New("queue: invalid warmup")
-	}
-	if len(thresholds) == 0 {
-		return nil, errors.New("queue: no thresholds")
-	}
-	for i := 1; i < len(thresholds); i++ {
-		if thresholds[i] <= thresholds[i-1] {
-			return nil, errors.New("queue: thresholds must be strictly ascending")
-		}
-	}
-	counts := make([]int, len(thresholds))
-	var q float64
-	n := 0
-	for i, y := range arrivals {
-		q += y - service
-		if q < 0 {
-			q = 0
-		}
-		if i < warmup {
-			continue
-		}
-		n++
-		// Thresholds ascend, so count every one below q.
-		for j := len(thresholds) - 1; j >= 0; j-- {
-			if q > thresholds[j] {
-				for l := 0; l <= j; l++ {
-					counts[l]++
-				}
-				break
-			}
-		}
-	}
-	out := make([]float64, len(thresholds))
-	for j, c := range counts {
-		out[j] = float64(c) / float64(n)
-	}
-	return out, nil
-}
-
 // UtilizationService returns the service rate mu that yields the requested
 // utilization for an arrival process with the given mean rate:
 // mu = mean / utilization.

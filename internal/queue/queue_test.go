@@ -272,52 +272,6 @@ func TestTraceOverflowWarmup(t *testing.T) {
 	}
 }
 
-func TestOccupancyDistribution(t *testing.T) {
-	r := rng.New(9)
-	arr := make([]float64, 100000)
-	for i := range arr {
-		arr[i] = r.Exp(1)
-	}
-	service := 1.25
-	thresholds := []float64{0.5, 2, 5, 10, 20}
-	dist, err := OccupancyDistribution(arr, service, thresholds, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Must agree with per-threshold TraceOverflow exactly.
-	for j, b := range thresholds {
-		want, err := TraceOverflow(arr, service, b, 1000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(dist[j]-want) > 1e-12 {
-			t.Errorf("threshold %v: %v vs TraceOverflow %v", b, dist[j], want)
-		}
-	}
-	// Monotone non-increasing.
-	for j := 1; j < len(dist); j++ {
-		if dist[j] > dist[j-1] {
-			t.Errorf("distribution not monotone at %d", j)
-		}
-	}
-}
-
-func TestOccupancyDistributionValidation(t *testing.T) {
-	arr := []float64{1, 2, 3}
-	if _, err := OccupancyDistribution(nil, 1, []float64{1}, 0); err == nil {
-		t.Error("empty trace accepted")
-	}
-	if _, err := OccupancyDistribution(arr, 1, nil, 0); err == nil {
-		t.Error("no thresholds accepted")
-	}
-	if _, err := OccupancyDistribution(arr, 1, []float64{2, 1}, 0); err == nil {
-		t.Error("descending thresholds accepted")
-	}
-	if _, err := OccupancyDistribution(arr, 1, []float64{1}, 5); err == nil {
-		t.Error("bad warmup accepted")
-	}
-}
-
 func TestUtilizationService(t *testing.T) {
 	mu, err := UtilizationService(3000, 0.6)
 	if err != nil {

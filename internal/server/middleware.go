@@ -22,18 +22,18 @@ func (s *Server) route(pattern, endpoint string, h http.Handler) {
 }
 
 // instrument wraps h in the request-path telemetry: RED metrics (request
-// and error counters, latency histogram, in-flight gauge), a per-request
-// id threaded through the context, the access tracer attached so pipeline
-// spans opened under this request (plan acquisition, IS warmup) stream
-// into the access log, and one structured access-log line per request.
+// and error counters, latency histogram, in-flight gauge) and, with an
+// access log, a per-request id, the access tracer attached to the context
+// so pipeline spans opened under this request (plan acquisition, IS warmup)
+// stream into the access log, and one structured access-log line per
+// request.
 func (s *Server) instrument(endpoint string, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		id := "r" + strconv.FormatUint(s.reqSeq.Add(1), 10)
-		ctx := obs.ContextWithRequestID(r.Context(), id)
+		var id string
 		if s.access != nil {
-			ctx = obs.ContextWithTracer(ctx, s.access)
+			id = "r" + strconv.FormatUint(s.reqSeq.Add(1), 10)
+			r = r.WithContext(obs.ContextWithTracer(r.Context(), s.access))
 		}
-		r = r.WithContext(ctx)
 
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		s.metrics.httpInFlight.Add(1)

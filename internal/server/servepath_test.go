@@ -38,14 +38,14 @@ func (d *discardResponse) Flush()                      {}
 // TestFramesRecordsAllocs pins the allocations of a warm records-encoded
 // frames request through the whole handler stack (middleware, registry,
 // produce loop, encoder). Without an access log the middleware builds no
-// per-request attribute map.
+// per-request id, context or attribute map.
 func TestFramesRecordsAllocs(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
 	info := createStream(t, ts.URL, paperSpec(9))
 	req := httptest.NewRequest("GET", "/v1/streams/"+info.ID+"/frames?n=256", nil)
 	req.Header.Set("Accept", ContentTypeFrames)
 	w := &discardResponse{h: http.Header{}}
-	const want = 27
+	const want = 22
 	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, req) }); got > want {
 		t.Fatalf("warm 256-frame records request: %v allocs, want <= %d", got, want)
 	}
@@ -134,11 +134,9 @@ func TestAccessLogKeepsNothing(t *testing.T) {
 	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 1000 {
 		t.Fatalf("access log has %d lines, want 1000", lines)
 	}
-	if n := len(s.access.Spans()); n != 0 {
-		t.Fatalf("tracer retains %d spans", n)
-	}
-	if n := len(s.access.Manifest("trafficd", nil, 0, nil, nil).Events); n != 0 {
-		t.Fatalf("tracer retains %d events", n)
+	m := s.access.Manifest("trafficd", nil, 0, nil, nil)
+	if len(m.Stages) != 0 || len(m.Events) != 0 {
+		t.Fatalf("tracer retains %d spans, %d events", len(m.Stages), len(m.Events))
 	}
 }
 

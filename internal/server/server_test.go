@@ -299,7 +299,7 @@ func TestJobFit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fitted, err := modelspec.Parse(data)
+	fitted, err := modelspec.Parse(bytes.NewReader(data))
 	if err != nil {
 		t.Fatalf("fit result is not a valid spec: %v", err)
 	}

@@ -222,25 +222,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// sessionSpec is a decoded create request: a single-stream modelspec or a
-// trunk spec. Cost reads the spec alone, so admission can reject before
-// any plan is built.
-type sessionSpec interface {
-	Validate() error
-	Cost() float64
-}
-
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	var spec modelspec.Spec
-	if !s.decode(w, r, &spec) {
+	spec, err := modelspec.Parse(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.create(w, r, &spec, &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, statmon.Ref, error) {
 		stream, err := spec.OpenCtx(ctx, s.opt.Tol)
 		if err != nil {
 			return nil, statmon.Ref{}, err
 		}
-		return stream, streamRef(&spec, stream), nil
+		return stream, streamRef(spec, stream), nil
 	})
 }
 
@@ -250,12 +243,13 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 // derives from the trunk seed, so the response's seed alone reproduces the
 // whole aggregate offline (trunk.Open with the same spec).
 func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
-	var spec modelspec.TrunkSpec
-	if !s.decode(w, r, &spec) {
+	spec, err := modelspec.ParseTrunk(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	if err != nil {
+		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.create(w, r, &spec, &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, statmon.Ref, error) {
-		tr, err := trunk.Open(ctx, &spec, trunk.Options{Tol: s.opt.Tol})
+	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+		tr, err := trunk.Open(ctx, spec, trunk.Options{Tol: s.opt.Tol})
 		if err != nil {
 			return nil, statmon.Ref{}, err
 		}
@@ -267,24 +261,21 @@ func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // create is the one create path behind POST /v1/streams and POST
-// /v1/trunks: validate, derive the seed when the spec leaves it 0, reserve
-// the admission cost, open, attach the monitor, register. open builds the
+// /v1/trunks, called with a spec modelspec has already decoded and
+// validated: derive the seed when the spec leaves it 0, reserve the
+// admission cost (read from the spec alone, so admission can reject before
+// any plan is built), open, attach the monitor, register. open builds the
 // seeded spec's stream and the statmon reference its monitor scores drift
 // against. Admission happens before the expensive open, so a doomed
 // request never builds a plan or touches an arena. The open is cancellable
 // by the client and shares plans across sessions through the plan cache;
 // when it fails the reservation is returned, so a rejected or failed
 // create never leaks accounting.
-func (s *Server) create(w http.ResponseWriter, r *http.Request, spec sessionSpec, seed *uint64, name string,
+func (s *Server) create(w http.ResponseWriter, r *http.Request, cost float64, seed *uint64, name string,
 	open func(context.Context) (frameStream, statmon.Ref, error)) {
-	if err := spec.Validate(); err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
 	if *seed == 0 {
 		*seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
 	}
-	cost := spec.Cost()
 	if err := s.adm.reserve(cost); err != nil {
 		s.rejectCreate(w, err)
 		return

@@ -448,7 +448,3 @@ func (m *Monitor) snapshotMarginal(s *Snapshot) {
 		s.Quantiles = append(s.Quantiles, qe)
 	}
 }
-
-// Drifting reports whether the current drift score is at or above the
-// configured threshold (a Snapshot shortcut for the metrics rollup).
-func (m *Monitor) Drifting() bool { return m.Snapshot().Drifting }

@@ -48,15 +48,6 @@ func Variance(x []float64) float64 {
 	return s / float64(len(x))
 }
 
-// SampleVariance returns the unbiased (divide-by-n-1) sample variance.
-func SampleVariance(x []float64) float64 {
-	n := len(x)
-	if n < 2 {
-		return 0
-	}
-	return Variance(x) * float64(n) / float64(n-1)
-}
-
 // StdDev returns the square root of the biased sample variance.
 func StdDev(x []float64) float64 { return math.Sqrt(Variance(x)) }
 
@@ -129,20 +120,11 @@ func Autocorrelation(x []float64, maxLag int) []float64 {
 	return fft.Autocorrelation(x, maxLag)
 }
 
-// Autocovariance returns the biased sample autocovariance at lags 0..maxLag.
-func Autocovariance(x []float64, maxLag int) []float64 {
-	return fft.Autocovariance(x, maxLag)
-}
-
-// AutocorrelationKnownMean is Autocorrelation computed around an externally
-// known process mean instead of the sample mean. Use it when the true mean
-// is known (e.g. zero-mean synthetic Gaussian processes): it removes the
-// negative bias the sample-mean estimator suffers on LRD series.
-func AutocorrelationKnownMean(x []float64, mean float64, maxLag int) []float64 {
-	return fft.AutocorrelationKnownMean(x, mean, maxLag)
-}
-
-// AutocovarianceKnownMean is Autocovariance around a known process mean.
+// AutocovarianceKnownMean returns the biased sample autocovariance at lags
+// 0..maxLag around an externally known process mean instead of the sample
+// mean. Use it when the true mean is known (e.g. zero-mean synthetic
+// Gaussian processes): it removes the negative bias the sample-mean
+// estimator suffers on LRD series.
 func AutocovarianceKnownMean(x []float64, mean float64, maxLag int) []float64 {
 	return fft.AutocovarianceKnownMean(x, mean, maxLag)
 }

@@ -162,13 +162,6 @@ func (e *Engine) Order() int { return e.order }
 // Block returns the emitted frames per refill B.
 func (e *Engine) Block() int { return e.block }
 
-// Horizon returns the correction horizon C.
-func (e *Engine) Horizon() int { return e.horizon }
-
-// NegativeMass reports the circulant embedding's clamped eigenvalue mass
-// (0 means the per-block synthesis is exact).
-func (e *Engine) NegativeMass() float64 { return e.plan.NegativeMass() }
-
 // blockSeed derives the RNG seed of one block: a SplitMix64 mix of the
 // stream seed and the block index, so block k is a pure function of
 // (seed, k) — the property O(1) seek rests on.
@@ -227,9 +220,6 @@ func (s *Stream) arenaBytes() int64 {
 // buffers themselves are garbage-collected; Close only keeps the gauge
 // honest and is safe to skip for short-lived streams in tests.
 func (s *Stream) Close() { observeArena(-s.arenaBytes()) }
-
-// Seed returns the seed driving the stream.
-func (s *Stream) Seed() uint64 { return s.seed }
 
 // Engine returns the engine the stream draws from.
 func (s *Stream) Engine() *Engine { return s.e }
@@ -363,16 +353,6 @@ func arResidual(diff, phi []float64) {
 // advance materializes the next block in sequence.
 func (s *Stream) advance() {
 	s.refill(s.block + 1)
-}
-
-// Next returns the next background sample.
-func (s *Stream) Next() float64 {
-	if s.off == s.e.block {
-		s.advance()
-	}
-	v := s.raw[s.e.order+s.off]
-	s.off++
-	return v
 }
 
 // Fill produces len(out) consecutive background samples. Steady-state calls

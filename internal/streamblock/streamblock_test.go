@@ -168,24 +168,6 @@ func TestReseedReplays(t *testing.T) {
 	}
 }
 
-// TestNextMatchesFill checks the two read paths agree bit-exactly across
-// block boundaries.
-func TestNextMatchesFill(t *testing.T) {
-	eng := testEngine(t, 1024)
-	a := eng.NewStream(3)
-	b := eng.NewStream(3)
-	defer a.Close()
-	defer b.Close()
-	n := eng.block + 17
-	filled := make([]float64, n)
-	a.Fill(filled)
-	for i := 0; i < n; i++ {
-		if v := b.Next(); math.Float64bits(v) != math.Float64bits(filled[i]) {
-			t.Fatalf("Next at %d: %v, Fill: %v", i, v, filled[i])
-		}
-	}
-}
-
 // TestSteadyStateZeroAlloc gates the arena contract: once a stream is warm,
 // filling whole blocks allocates nothing.
 func TestSteadyStateZeroAlloc(t *testing.T) {

@@ -168,7 +168,7 @@ func TestTESMinusNegativeLag1(t *testing.T) {
 }
 
 func TestSourceInterface(t *testing.T) {
-	src := Source{Cfg: Config{Alpha: 0.2, Zeta: 0.5, Marginal: dist.Exponential{Lambda: 0.001}}}
+	src := Source{Cfg: Config{Alpha: 0.2, Zeta: 0.5, Marginal: dist.Gamma{Shape: 1, Scale: 1000}}}
 	path := src.ArrivalPath(rng.New(6), 500)
 	if len(path) != 500 {
 		t.Fatalf("path len %d", len(path))
@@ -202,7 +202,7 @@ func TestTESIsSRDNotLRD(t *testing.T) {
 }
 
 func BenchmarkTESNext(b *testing.B) {
-	g, err := New(Config{Alpha: 0.2, Zeta: 0.5, Marginal: dist.Exponential{Lambda: 1}}, rng.New(1))
+	g, err := New(Config{Alpha: 0.2, Zeta: 0.5, Marginal: dist.Gamma{Shape: 1, Scale: 1}}, rng.New(1))
 	if err != nil {
 		b.Fatal(err)
 	}

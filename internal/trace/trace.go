@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"strconv"
 	"strings"
 
@@ -385,4 +386,39 @@ func ReadBinary(r io.Reader) (*Trace, error) {
 		return nil, err
 	}
 	return tr, nil
+}
+
+// ---------------------------------------------------------------------------
+// Files: the format follows the extension, binary for ".bin", CSV otherwise.
+
+// ReadFile reads a trace file written by WriteFile.
+func ReadFile(path string) (*Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	if strings.HasSuffix(path, ".bin") {
+		return ReadBinary(f)
+	}
+	return ReadCSV(f)
+}
+
+// WriteFile writes the trace to path, in binary form when path ends in
+// ".bin" and as CSV otherwise.
+func (tr *Trace) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".bin") {
+		err = tr.WriteBinary(f)
+	} else {
+		err = tr.WriteCSV(f)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

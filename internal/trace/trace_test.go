@@ -3,6 +3,8 @@ package trace
 import (
 	"bytes"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -262,6 +264,34 @@ func TestBinaryRoundTrip(t *testing.T) {
 		if got.Sizes[i] != tr.Sizes[i] || got.Types[i] != tr.Types[i] {
 			t.Fatalf("binary mismatch at %d", i)
 		}
+	}
+}
+
+// TestFileRoundTrip checks WriteFile and ReadFile agree on the format the
+// extension selects: binary for ".bin", CSV for anything else.
+func TestFileRoundTrip(t *testing.T) {
+	tr := sampleTrace()
+	dir := t.TempDir()
+	for name, magic := range map[string]string{"t.csv": "#", "t.bin": "VBR1", "t.txt": "#"} {
+		path := filepath.Join(dir, name)
+		if err := tr.WriteFile(path); err != nil {
+			t.Fatal(err)
+		}
+		if raw, _ := os.ReadFile(path); !bytes.HasPrefix(raw, []byte(magic)) {
+			t.Fatalf("%s: file does not start with %q", name, magic)
+		}
+		got, err := ReadFile(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i := range tr.Sizes {
+			if got.Sizes[i] != tr.Sizes[i] || got.Types[i] != tr.Types[i] {
+				t.Fatalf("%s: mismatch at %d", name, i)
+			}
+		}
+	}
+	if _, err := ReadFile(filepath.Join(dir, "missing.csv")); err == nil {
+		t.Error("missing file accepted")
 	}
 }
 

@@ -131,16 +131,11 @@ type MeasureOptions struct {
 	Workers int
 }
 
-// Measure estimates the attenuation factor empirically, exactly as the
+// MeasureCtx estimates the attenuation factor empirically, exactly as the
 // paper's Step 3: generate X with the plan, map to Y = h(X), and average the
 // ratio of foreground to background ACF at large lags. The pathLen is
-// capped at the plan length.
-func Measure(plan *hosking.Plan, t T, pathLen int, opt MeasureOptions) (float64, error) {
-	return MeasureCtx(context.Background(), plan, t, pathLen, opt)
-}
-
-// MeasureCtx is Measure with cancellation: ctx is polled between
-// replications, so a canceled caller waits at most one path generation.
+// capped at the plan length. ctx is polled between replications, so a
+// canceled caller waits at most one path generation.
 // Replications run on a worker pool (see MeasureOptions.Workers) with one
 // generator per replication, split from the seed in replication order, so
 // the measurement is invariant under the worker count.

@@ -38,7 +38,7 @@ func TestAffineTransformAttenuationIsOne(t *testing.T) {
 
 func TestApplyIsMonotone(t *testing.T) {
 	targets := []dist.Distribution{
-		dist.Exponential{Lambda: 0.001},
+		dist.Gamma{Shape: 1, Scale: 1000},
 		dist.Gamma{Shape: 2, Scale: 1500},
 		dist.Lognormal{Mu: 7, Sigma: 0.6},
 	}
@@ -86,7 +86,7 @@ func TestTransformedMarginal(t *testing.T) {
 }
 
 func TestTable(t *testing.T) {
-	h := New(dist.Exponential{Lambda: 1})
+	h := New(dist.Gamma{Shape: 1, Scale: 1})
 	xs, hs := h.Table(-4, 4, 100)
 	if len(xs) != 101 || len(hs) != 101 {
 		t.Fatalf("table lengths %d/%d", len(xs), len(hs))
@@ -103,7 +103,7 @@ func TestTable(t *testing.T) {
 
 func TestAttenuationInUnitInterval(t *testing.T) {
 	targets := []dist.Distribution{
-		dist.Exponential{Lambda: 0.01},
+		dist.Gamma{Shape: 1, Scale: 100},
 		dist.Gamma{Shape: 0.7, Scale: 100},
 		dist.Lognormal{Mu: 8, Sigma: 1},
 		dist.Pareto{Alpha: 2.5, Xm: 1000},
@@ -133,7 +133,7 @@ func TestAnalyticVsEmpiricalAttenuation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measured, err := Measure(plan, h, 600, MeasureOptions{
+	measured, err := MeasureCtx(context.Background(), plan, h, 600, MeasureOptions{
 		Lags:         []int{100, 150, 200},
 		Replications: 200,
 		Seed:         3,
@@ -156,7 +156,7 @@ func TestMeasuredAttenuationApproachesAnalyticFromAbove(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	near, err := Measure(plan, h, 600, MeasureOptions{Lags: []int{80}, Replications: 120, Seed: 3})
+	near, err := MeasureCtx(context.Background(), plan, h, 600, MeasureOptions{Lags: []int{80}, Replications: 120, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,10 +171,10 @@ func TestMeasureValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := New(dist.StdNormal)
-	if _, err := Measure(plan, h, 100, MeasureOptions{Lags: []int{90}}); err == nil {
+	if _, err := MeasureCtx(context.Background(), plan, h, 100, MeasureOptions{Lags: []int{90}}); err == nil {
 		t.Error("oversized lag accepted")
 	}
-	if _, err := Measure(plan, h, 100, MeasureOptions{Lags: []int{-1}}); err == nil {
+	if _, err := MeasureCtx(context.Background(), plan, h, 100, MeasureOptions{Lags: []int{-1}}); err == nil {
 		t.Error("negative lag accepted")
 	}
 }
@@ -230,7 +230,7 @@ func TestHurstInvarianceUnderTransform(t *testing.T) {
 func TestACFAttenuationShape(t *testing.T) {
 	// r_Y(k) ~ a * r_X(k) at large lags: verify the ratio stabilizes near
 	// the analytic a across several lags.
-	target := dist.Exponential{Lambda: 0.002}
+	target := dist.Gamma{Shape: 1, Scale: 500}
 	h := New(target)
 	analytic := h.Attenuation()
 

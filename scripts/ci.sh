@@ -69,7 +69,8 @@ echo "== perf gates"
 # protocol (BENCHMARK.json bounds). Old gate -> replacement:
 #   benchdiff DHPathRealInto, FFTHermitianReal, StreamBlockFill/16384,
 #     StreamBlockRefill -> stream-long and session-churn frames_per_s;
-#     TestPathEngineZeroAlloc, TestDHSteadyStateZeroAlloc,
+#     TestPathEngineZeroAlloc,
+#     TestDHSteadyStateZeroAlloc (PathInto, PathRealInto),
 #     Test{Forward,RealPath}ZeroAlloc,
 #     TestSteadyStateZeroAlloc (streamblock), TestStreamFillZeroAlloc
 #   benchdiff StreamTruncatedFill/16384, StreamStepAffinity -> step-fleet
@@ -243,7 +244,7 @@ echo "smoke test OK"
 echo "== qsim -progress smoke"
 # Telemetry smoke: a short estimation run must stream NDJSON convergence
 # snapshots on stderr and write a run manifest carrying its stage spans.
-go run ./cmd/tracegen -intra -frames 8192 -format bin -o "$tmpdir/smoke.bin"
+go run ./cmd/tracegen -intra -frames 8192 -o "$tmpdir/smoke.bin"
 go run ./cmd/qsim -i "$tmpdir/smoke.bin" -util 0.6 -buffer 30 -reps 200 \
     -progress -manifest "$tmpdir/run.json" >"$tmpdir/qsim.out" 2>"$tmpdir/qsim.err"
 grep -q '"type":"convergence"' "$tmpdir/qsim.err" \
