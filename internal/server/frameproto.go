@@ -65,10 +65,11 @@ func AppendFrameTrailer(dst []byte) []byte {
 }
 
 // frameBufPool recycles per-connection encode buffers sized for one full
-// record, so steady-state streaming allocates nothing per chunk.
+// record and the terminator that may follow it, so steady-state streaming
+// allocates nothing per chunk.
 var frameBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 0, frameRecordHeader+streamChunk*8)
+		b := make([]byte, 0, 2*frameRecordHeader+streamChunk*8)
 		return &b
 	},
 }

@@ -101,7 +101,7 @@ func newMetrics(reg *obs.Registry) *metrics {
 		shardRequests: reg.CounterVec("vbrsim_server_shard_requests_total",
 			"Session lookups that landed on each registry shard.", "shard"),
 		frameEmitSeconds: reg.Histogram("vbrsim_server_frame_emit_seconds",
-			"Generate+encode+write+flush wall time of one streamed frame chunk.",
+			"Generate+encode+write wall time of one streamed frame chunk, plus the flush when another chunk follows (a final chunk that fits the HTTP buffer is sent after the handler returns).",
 			[]float64{1e-5, 1e-4, 5e-4, 0.002, 0.01, 0.05, 0.25, 1}),
 		statmonSampled: reg.Counter("vbrsim_statmon_frames_sampled_total",
 			"Frames folded into per-session statistical monitors."),

@@ -1,7 +1,12 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 
 	"vbrsim/internal/obs"
@@ -167,5 +172,148 @@ func TestFailedJobDurationRecorded(t *testing.T) {
 	}
 	if fams["vbrsim_jobs_failed_total"].Samples[0].Value != 1 {
 		t.Errorf("jobs failed = %+v", fams["vbrsim_jobs_failed_total"].Samples)
+	}
+}
+
+// TestRequestMixSeries pins the request-path series after a fixed request
+// mix: the per-route children (resolved at route registration, request
+// counters cached per status code) and the per-shard children (resolved in
+// New) must count exactly what per-request label lookups counted. The
+// values are those the label-lookup middleware produced for this mix.
+func TestRequestMixSeries(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	got := requestMixSeries(t, s)
+
+	// Every route and every shard is pre-touched, so the families carry one
+	// series per endpoint (14), per endpoint and seen code (5) and per
+	// shard (16).
+	perFamily := map[string]int{}
+	for k := range got {
+		perFamily[k[:strings.IndexByte(k, '{')]]++
+	}
+	for name, want := range map[string]int{
+		"vbrsim_http_requests_total":         5,
+		"vbrsim_http_errors_total":           14,
+		"vbrsim_http_request_seconds_count":  14,
+		"vbrsim_server_shard_requests_total": 16,
+		"vbrsim_server_shard_sessions":       16,
+	} {
+		if perFamily[name] != want {
+			t.Errorf("%s: %d series, want %d", name, perFamily[name], want)
+		}
+	}
+	want := map[string]float64{
+		`vbrsim_http_request_seconds_count{endpoint="frames"}`:            3,
+		`vbrsim_http_request_seconds_count{endpoint="stream_create"}`:     2,
+		`vbrsim_http_request_seconds_count{endpoint="stream_delete"}`:     1,
+		`vbrsim_http_requests_total{endpoint="frames",code="200"}`:        1,
+		`vbrsim_http_requests_total{endpoint="frames",code="400"}`:        1,
+		`vbrsim_http_requests_total{endpoint="frames",code="404"}`:        1,
+		`vbrsim_http_requests_total{endpoint="stream_create",code="201"}`: 2,
+		`vbrsim_http_requests_total{endpoint="stream_delete",code="204"}`: 1,
+		`vbrsim_server_shard_requests_total{shard="9"}`:                   2,
+		`vbrsim_server_shard_sessions{shard="9"}`:                         1,
+	}
+	for k, v := range got {
+		if v != want[k] {
+			t.Errorf("%s = %v, want %v", k, v, want[k])
+		}
+	}
+	for k := range want {
+		if _, ok := got[k]; !ok {
+			t.Errorf("%s not served", k)
+		}
+	}
+}
+
+// requestMixSeries serves a fixed request mix through s and returns the
+// series the request path's cached metric children feed, as
+// "name{labels}" -> value. The mix: two creates (201), a 4-frame read
+// (200), a read of an unknown id (404), a read with a bad n (400) and a
+// delete (204).
+func requestMixSeries(t *testing.T, s *Server) map[string]float64 {
+	t.Helper()
+	spec, err := json.Marshal(tesTestSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rq := range []struct {
+		method, target string
+		body           []byte
+		code           int
+	}{
+		{"POST", "/v1/streams", spec, http.StatusCreated},
+		{"POST", "/v1/streams", spec, http.StatusCreated},
+		{"GET", "/v1/streams/s1/frames?n=4", nil, http.StatusOK},
+		{"GET", "/v1/streams/s9/frames?n=4", nil, http.StatusNotFound},
+		{"GET", "/v1/streams/s1/frames?n=0", nil, http.StatusBadRequest},
+		{"DELETE", "/v1/streams/s2", nil, http.StatusNoContent},
+	} {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(rq.method, rq.target, bytes.NewReader(rq.body)))
+		if rec.Code != rq.code {
+			t.Fatalf("%s %s: HTTP %d, want %d", rq.method, rq.target, rec.Code, rq.code)
+		}
+	}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	fams, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]float64{}
+	for _, name := range []string{
+		"vbrsim_http_requests_total", "vbrsim_http_errors_total", "vbrsim_http_request_seconds",
+		"vbrsim_server_shard_requests_total", "vbrsim_server_shard_sessions",
+	} {
+		for _, smp := range fams[name].Samples {
+			if strings.HasSuffix(smp.Name, "_bucket") || strings.HasSuffix(smp.Name, "_sum") {
+				continue
+			}
+			got[smp.Name+smp.Labels] = smp.Value
+		}
+	}
+	return got
+}
+
+// TestRouteCodeCacheFirstUse races the first use of a new status code on
+// one route: every request must land on the same request counter child,
+// and the -race run checks the copy-on-write code cache.
+func TestRouteCodeCacheFirstUse(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	h := s.instrument(s.newRouteMetrics("teapot"), http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusTeapot)
+	}))
+	const workers, each = 8, 50
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range each {
+				h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/teapot", nil))
+			}
+		}()
+	}
+	wg.Wait()
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	fams, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var series int
+	for _, smp := range fams["vbrsim_http_requests_total"].Samples {
+		if strings.Contains(smp.Labels, `endpoint="teapot"`) {
+			series++
+			if smp.Labels != `{endpoint="teapot",code="418"}` || smp.Value != workers*each {
+				t.Errorf("%s%s = %v, want code 418 counted %d times", smp.Name, smp.Labels, smp.Value, workers*each)
+			}
+		}
+	}
+	if series != 1 {
+		t.Fatalf("%d teapot request series, want 1", series)
 	}
 }

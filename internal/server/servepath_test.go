@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -35,19 +37,124 @@ func (d *discardResponse) Write(b []byte) (int, error) { return len(b), nil }
 func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Flush()                      {}
 
+// flushCountingResponse is a discardResponse that keeps the body and
+// counts Flush calls, so a test sees what the handler hands net/http.
+type flushCountingResponse struct {
+	discardResponse
+	body    bytes.Buffer
+	flushes int
+}
+
+func (f *flushCountingResponse) Write(b []byte) (int, error) { return f.body.Write(b) }
+func (f *flushCountingResponse) Flush()                      { f.flushes++ }
+
+// TestFramesFlushAndFraming pins the frames handler's wire behaviour. It
+// flushes only between chunks, so a read of n frames flushes
+// ceil(n/streamChunk)-1 times and a small read reaches the socket after
+// the handler returns, framed with Content-Length instead of chunked. The
+// records body is the parent's record sequence with the terminator in the
+// final write, and the NDJSON body is one 'g'-formatted float per line.
+func TestFramesFlushAndFraming(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	for _, n := range []int{4, streamChunk, streamChunk + 1, 3 * streamChunk} {
+		spec := paperSpec(uint64(30 + n))
+		frames, err := spec.Frames(t.Context(), 0, n, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wantRecords, wantNDJSON []byte
+		for lo := 0; lo < n; lo += streamChunk {
+			wantRecords = AppendFrameRecord(wantRecords, frames[lo:min(lo+streamChunk, n)])
+		}
+		wantRecords = AppendFrameTrailer(wantRecords)
+		for _, v := range frames {
+			wantNDJSON = append(strconv.AppendFloat(wantNDJSON, v, 'g', -1, 64), '\n')
+		}
+		wantFlushes := (n+streamChunk-1)/streamChunk - 1
+
+		for _, format := range []string{"frames", "ndjson"} {
+			info := createStream(t, ts.URL, spec)
+			w := &flushCountingResponse{discardResponse: discardResponse{h: http.Header{}}}
+			s.ServeHTTP(w, httptest.NewRequest("GET", fmt.Sprintf("/v1/streams/%s/frames?n=%d&format=%s", info.ID, n, format), nil))
+			if w.flushes != wantFlushes {
+				t.Errorf("n=%d %s: %d flushes, want %d", n, format, w.flushes, wantFlushes)
+			}
+			want := wantNDJSON
+			if format == "frames" {
+				want = wantRecords
+				got, err := NewFrameReader(bytes.NewReader(w.body.Bytes())).ReadAll()
+				if err != nil || len(got) != n {
+					t.Fatalf("n=%d: decoded %d frames, err %v", n, len(got), err)
+				}
+				for i := range got {
+					if math.Float64bits(got[i]) != math.Float64bits(frames[i]) {
+						t.Fatalf("n=%d frame %d: %v, want %v", n, i, got[i], frames[i])
+					}
+				}
+			}
+			if !bytes.Equal(w.body.Bytes(), want) {
+				t.Errorf("n=%d %s: body (%d bytes) differs from the expected %d bytes", n, format, w.body.Len(), len(want))
+			}
+		}
+	}
+
+	// Over a real connection, a 4-frame records read goes out with
+	// Content-Length: one record, its payload and the terminator.
+	info := createStream(t, ts.URL, paperSpec(34))
+	resp, err := http.Get(ts.URL + "/v1/streams/" + info.ID + "/frames?n=4&format=frames")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if want := int64(frameRecordHeader + 8*4 + frameRecordHeader); resp.ContentLength != want || len(body) != int(want) {
+		t.Errorf("4-frame read: Content-Length %d, body %d bytes, want %d", resp.ContentLength, len(body), want)
+	}
+	if slices.Contains(resp.TransferEncoding, "chunked") {
+		t.Errorf("4-frame read sent chunked (Transfer-Encoding %v)", resp.TransferEncoding)
+	}
+}
+
 // TestFramesRecordsAllocs pins the allocations of a warm records-encoded
 // frames request through the whole handler stack (middleware, registry,
-// produce loop, encoder). Without an access log the middleware builds no
-// per-request id, context or attribute map.
+// produce loop, encoder), for a small read and one full-chunk-sized read.
+// Without an access log the middleware builds no per-request id, context
+// or attribute map, and every metric child is resolved before the request.
 func TestFramesRecordsAllocs(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	info := createStream(t, ts.URL, paperSpec(9))
-	req := httptest.NewRequest("GET", "/v1/streams/"+info.ID+"/frames?n=256", nil)
-	req.Header.Set("Accept", ContentTypeFrames)
-	w := &discardResponse{h: http.Header{}}
-	const want = 22
-	if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, req) }); got > want {
-		t.Fatalf("warm 256-frame records request: %v allocs, want <= %d", got, want)
+	for _, tc := range []struct{ n, want int }{{4, 10}, {256, 10}} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			info := createStream(t, ts.URL, paperSpec(9))
+			req := httptest.NewRequest("GET", fmt.Sprintf("/v1/streams/%s/frames?n=%d", info.ID, tc.n), nil)
+			req.Header.Set("Accept", ContentTypeFrames)
+			w := &discardResponse{h: http.Header{}}
+			if got := testing.AllocsPerRun(200, func() { s.ServeHTTP(w, req) }); got > float64(tc.want) {
+				t.Fatalf("warm %d-frame records request: %v allocs, want <= %d", tc.n, got, tc.want)
+			}
+		})
+	}
+}
+
+// TestMiddlewareWriteDeadline sets a write deadline through the RED
+// middleware: its response wrapper must unwrap to the connection's writer
+// for http.ResponseController.
+func TestMiddlewareWriteDeadline(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	ts := httptest.NewServer(s.instrument(s.newRouteMetrics("deadline"), http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		if err := http.NewResponseController(w).SetWriteDeadline(time.Now().Add(time.Minute)); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	})))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("SetWriteDeadline through the middleware: HTTP %d %s", resp.StatusCode, body)
 	}
 }
 

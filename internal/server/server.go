@@ -37,6 +37,7 @@ import (
 	"io"
 	"net/http"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,6 +171,11 @@ type Server struct {
 	nextSession atomic.Uint64
 	evictorDone chan struct{} // nil when eviction is disabled
 
+	// Per-shard children of the shard metric vecs, indexed by shard, so
+	// a lookup or registry change touches no label vec.
+	shardRequests []*obs.Counter
+	shardSessions []*obs.Gauge
+
 	seedOrdinal atomic.Uint64
 	jobs        *jobPool
 
@@ -200,13 +206,15 @@ func New(opt Options) *Server {
 		s.access = obs.NewStreamTracer(opt.AccessLog)
 	}
 	s.reg = newSessionRegistry(opt.Shards, func(shard, active int) {
-		s.metrics.shardSessions.With(shardLabel(shard)).Set(float64(active))
+		s.shardSessions[shard].Set(float64(active))
 	})
-	// Pre-touch every shard's gauges and counters so the exposition shows
-	// the full topology (all-zero shards included) from the first scrape.
-	for i := 0; i < s.reg.numShards(); i++ {
-		s.metrics.shardSessions.With(shardLabel(i)).Set(0)
-		s.metrics.shardRequests.With(shardLabel(i)).Add(0)
+	// Resolve every shard's children once. This also pre-touches them, so
+	// the exposition shows the full topology (all-zero shards included)
+	// from the first scrape.
+	for i := range s.reg.numShards() {
+		label := strconv.Itoa(i)
+		s.shardSessions = append(s.shardSessions, s.metrics.shardSessions.With(label))
+		s.shardRequests = append(s.shardRequests, s.metrics.shardRequests.With(label))
 	}
 	s.registerStatmonGauges(reg)
 	reg.GaugeFunc("vbrsim_server_admission_cost_used",

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
@@ -149,7 +150,7 @@ func (s *Server) getSession(id string) (*session, bool) {
 	if ok {
 		// Per-shard lookup counter: with the sharded registry, a skewed
 		// request mix shows up here long before it shows up as contention.
-		s.metrics.shardRequests.With(shardLabel(s.reg.shardFor(id))).Inc()
+		s.shardRequests[s.reg.shardFor(id)].Inc()
 	}
 	return ss, ok
 }
@@ -361,7 +362,7 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	enc, err := frameEncodingOf(r)
+	enc, err := frameEncodingOf(q, r.Header.Get("Accept"))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -399,18 +400,26 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 	s.metrics.streamFrames.Observe(float64(n))
 
 	// The encode buffer is pooled, so steady-state streaming allocates
-	// nothing per chunk on either encoding. Each chunk is written and
-	// flushed before the next is generated.
+	// nothing per chunk on either encoding. Each chunk is written, and
+	// flushed when another follows, before the next is generated. The
+	// final chunk is not flushed: it stays in net/http's buffer, so a
+	// response that fits there goes out with Content-Length in one socket
+	// write after the handler returns and releases ss.mu.
 	outp := frameBufPool.Get().(*[]byte)
 	defer frameBufPool.Put(outp)
 	out := *outp
 	begin := time.Now()
-	complete := s.produce(ctx, ss, n, make([]float64, min(n, streamChunk)), func(chunk []float64) bool {
+	s.produce(ctx, ss, n, make([]float64, min(n, streamChunk)), func(chunk []float64, last bool) bool {
 		out = enc.append(out[:0], chunk)
+		if last && enc == encRecords {
+			// Terminator record: the protocol-level "all frames
+			// delivered", in the same Write as the final chunk.
+			out = AppendFrameTrailer(out)
+		}
 		if _, err := w.Write(out); err != nil {
 			return false
 		}
-		if flusher != nil {
+		if !last && flusher != nil {
 			flusher.Flush()
 		}
 		now := time.Now()
@@ -418,10 +427,6 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 		begin = now
 		return true
 	})
-	if complete && enc == encRecords {
-		// Terminator record: the protocol-level "all frames delivered".
-		w.Write(AppendFrameTrailer(out[:0]))
-	}
 	*outp = out[:0]
 }
 
@@ -430,13 +435,14 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 // the frames and step endpoints. Chunks land in buf, which is either
 // shorter than n (reused for every chunk) or at least n long (the chunks
 // fill it in order, keeping every frame). It stops early when ctx is done
-// or emit returns false, leaving the session position where it got to,
-// and reports whether all n frames went out. The caller holds ss.mu.
-func (s *Server) produce(ctx context.Context, ss *session, n int, buf []float64, emit func(chunk []float64) bool) bool {
+// or emit returns false, leaving the session position where it got to.
+// emit's last is true for the chunk that completes the n frames. The
+// caller holds ss.mu.
+func (s *Server) produce(ctx context.Context, ss *session, n int, buf []float64, emit func(chunk []float64, last bool) bool) {
 	start := ss.stream.Pos()
 	for done := 0; done < n; {
 		if ctx.Err() != nil {
-			return false
+			return
 		}
 		c := min(n-done, streamChunk)
 		chunk := buf[:c]
@@ -452,14 +458,13 @@ func (s *Server) produce(ctx context.Context, ss *session, n int, buf []float64,
 		if ss.mon.Observe(int64(start+done), chunk) {
 			s.metrics.statmonSampled.Add(float64(c))
 		}
-		if emit != nil && !emit(chunk) {
-			return false
+		if emit != nil && !emit(chunk, done+c == n) {
+			return
 		}
 		done += c
 		ss.served += uint64(c)
 		s.metrics.framesStreamed.Add(float64(c))
 	}
-	return true
 }
 
 // frameEncoding selects a frames response body format.
@@ -489,12 +494,12 @@ func (e frameEncoding) append(dst []byte, frames []float64) []byte {
 	return dst
 }
 
-// frameEncodingOf negotiates the frame encoding: format=frames or
-// format=ndjson when given (any other value is an error), else the
-// length-prefixed record protocol for Accept: application/x-vbrsim-frames
-// and NDJSON otherwise.
-func frameEncodingOf(r *http.Request) (frameEncoding, error) {
-	switch f := r.URL.Query().Get("format"); f {
+// frameEncodingOf negotiates the frame encoding from the request's parsed
+// query and its Accept header: format=frames or format=ndjson when given
+// (any other value is an error), else the length-prefixed record protocol
+// for Accept: application/x-vbrsim-frames and NDJSON otherwise.
+func frameEncodingOf(q url.Values, accept string) (frameEncoding, error) {
+	switch f := q.Get("format"); f {
 	case "frames":
 		return encRecords, nil
 	case "ndjson":
@@ -503,7 +508,7 @@ func frameEncodingOf(r *http.Request) (frameEncoding, error) {
 	default:
 		return 0, fmt.Errorf("format=%q: want frames or ndjson", f)
 	}
-	if strings.Contains(r.Header.Get("Accept"), ContentTypeFrames) {
+	if strings.Contains(accept, ContentTypeFrames) {
 		return encRecords, nil
 	}
 	return encNDJSON, nil

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -155,6 +154,3 @@ func (r *sessionRegistry) evictIdle(cutoff time.Time, onEvict func(*session)) in
 
 // numShards returns the shard count (always a power of two).
 func (r *sessionRegistry) numShards() int { return len(r.shards) }
-
-// shardLabel is the metrics label of shard i.
-func shardLabel(i int) string { return strconv.Itoa(i) }

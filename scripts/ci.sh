@@ -80,7 +80,7 @@ echo "== perf gates"
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
 #     tap/fill time share <= 0.05), TestObserveZeroAlloc
 #   capacity ramp smoke (loadgen -selfserve) -> stream-short frames_per_s;
-#     TestFramesRecordsAllocs
+#     TestFramesRecordsAllocs (4- and 256-frame reads)
 # The two timing tests skip under -short and under -race, so no race run
 # times instrumented code.
 go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs)$' \
