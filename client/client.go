@@ -114,7 +114,7 @@ func (c *Client) CreateTrunk(ctx context.Context, spec *modelspec.TrunkSpec) (se
 // (POST /v1/streams/step). When includeFrames is set the generated frames
 // come back per session, bounded by the server's per-step return limit;
 // otherwise positions advance with an empty body — the cheap bulk-warm
-// path for simulation drivers.
+// path for simulation drivers. Each session may be listed once.
 func (c *Client) Step(ctx context.Context, ids []string, n int, includeFrames bool) ([]server.StepResult, error) {
 	var results []server.StepResult
 	req := server.StepRequest{IDs: ids, N: n, IncludeFrames: includeFrames}

@@ -300,7 +300,9 @@ func (t *Truncated) Path(r *rng.Source, n int) []float64 {
 
 // TruncatedGenerator streams a truncated-AR path one step at a time while
 // holding only an O(p) window of history, so arbitrarily long paths run in
-// constant memory. It is bound to a single goroutine.
+// constant memory. It is bound to a single goroutine. FillLockstep
+// advances several generators of one truncation together, bit for bit as
+// Next would.
 type TruncatedGenerator struct {
 	t   *Truncated
 	rng *rng.Source
@@ -341,6 +343,107 @@ func (g *TruncatedGenerator) Next() float64 {
 	g.buf = append(g.buf, x)
 	g.pos++
 	return x
+}
+
+// Lanes is how many generators FillLockstep advances per pass over the
+// frozen row: four independent accumulators keep the floating-point adder
+// busy where Next's single chain waits on its latency.
+const Lanes = 4
+
+// FillLockstep fills out[i] with the next len(out[i]) samples of gens[i],
+// for every i: the same values, and the same generator state afterwards
+// (position, history window, rng), as len(out[i]) successive gens[i].Next
+// calls. Every generator must run over the same truncation, and no
+// generator may appear twice.
+//
+// Next's conditional mean beyond the order is one dependent chain of p
+// adds, so it runs at add latency. The chains of different generators are
+// independent, so FillLockstep runs Lanes of them in lockstep: one pass over
+// the row advances Lanes accumulators, each summed in exactly Next's order,
+// which keeps every sample bit-identical. Warm-up steps (pos < order), the
+// steps a group's longer lanes take past its shortest, and the generators
+// left over after the last full group of Lanes go through Next.
+func FillLockstep(gens []*TruncatedGenerator, out [][]float64) {
+	if len(gens) != len(out) {
+		panic("hosking: FillLockstep needs one output per generator")
+	}
+	for lo := 0; lo < len(gens); lo += Lanes {
+		g, o := gens[lo:min(lo+Lanes, len(gens))], out[lo:min(lo+Lanes, len(gens))]
+		var done [Lanes]int
+		common := math.MaxInt
+		for i, gi := range g {
+			if gi.t != gens[0].t {
+				panic("hosking: FillLockstep generators run over different truncations")
+			}
+			for ; done[i] < len(o[i]) && gi.pos < gi.t.order; done[i]++ {
+				o[i][done[i]] = gi.Next()
+			}
+			common = min(common, len(o[i])-done[i])
+		}
+		if len(g) == Lanes && common > 0 {
+			var lane [Lanes][]float64
+			for i := range lane {
+				lane[i] = o[i][done[i] : done[i]+common]
+				done[i] += common
+			}
+			lockstep((*[Lanes]*TruncatedGenerator)(g), &lane)
+		}
+		for i, gi := range g {
+			for ; done[i] < len(o[i]); done[i]++ {
+				o[i][done[i]] = gi.Next()
+			}
+		}
+	}
+}
+
+// lockstep advances Lanes generators, all past warm-up, by len(out[0])
+// steps each (every out has that length), writing lane i's samples to
+// out[i]. Each lane compacts its window exactly where Next would: at the
+// start of a step whose window is full.
+func lockstep(g *[Lanes]*TruncatedGenerator, out *[Lanes][]float64) {
+	t := g[0].t
+	row := t.row[:t.order]
+	sqrtV := t.sqrtV
+	n := len(out[0])
+	for k := 0; k < n; {
+		seg := n - k
+		for _, gi := range g {
+			if len(gi.buf) == cap(gi.buf) {
+				gi.buf = gi.buf[:copy(gi.buf, gi.buf[len(gi.buf)-t.order:])]
+			}
+			seg = min(seg, cap(gi.buf)-len(gi.buf))
+		}
+		// Within the segment no window fills, so the appends below never
+		// reallocate.
+		b0, b1, b2, b3 := g[0].buf, g[1].buf, g[2].buf, g[3].buf
+		o0, o1, o2, o3 := out[0][k:k+seg], out[1][k:k+seg], out[2][k:k+seg], out[3][k:k+seg]
+		for j := range o0 {
+			h0 := b0[len(b0)-len(row):]
+			h1 := b1[len(b1)-len(row):]
+			h2 := b2[len(b2)-len(row):]
+			h3 := b3[len(b3)-len(row):]
+			h0, h1, h2, h3 = h0[:len(row)], h1[:len(row)], h2[:len(row)], h3[:len(row)]
+			var m0, m1, m2, m3 float64
+			for i := len(row) - 1; i >= 0; i-- {
+				r := row[i]
+				m0 += r * h0[i]
+				m1 += r * h1[i]
+				m2 += r * h2[i]
+				m3 += r * h3[i]
+			}
+			x0 := m0 + sqrtV*g[0].rng.Norm()
+			x1 := m1 + sqrtV*g[1].rng.Norm()
+			x2 := m2 + sqrtV*g[2].rng.Norm()
+			x3 := m3 + sqrtV*g[3].rng.Norm()
+			b0, b1, b2, b3 = append(b0, x0), append(b1, x1), append(b2, x2), append(b3, x3)
+			o0[j], o1[j], o2[j], o3[j] = x0, x1, x2, x3
+		}
+		g[0].buf, g[1].buf, g[2].buf, g[3].buf = b0, b1, b2, b3
+		for _, gi := range g {
+			gi.pos += seg
+		}
+		k += seg
+	}
 }
 
 // Pos returns how many samples have been generated so far.

@@ -409,7 +409,7 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 	defer frameBufPool.Put(outp)
 	out := *outp
 	begin := time.Now()
-	s.produce(ctx, ss, n, make([]float64, min(n, streamChunk)), func(chunk []float64, last bool) bool {
+	s.produce(ctx, []*session{ss}, n, [][]float64{make([]float64, min(n, streamChunk))}, func(chunk []float64, last bool) bool {
 		out = enc.append(out[:0], chunk)
 		if last && enc == encRecords {
 			// Terminator record: the protocol-level "all frames
@@ -430,40 +430,64 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 	*outp = out[:0]
 }
 
-// produce advances ss by n frames, streamChunk at a time: fill, statmon
-// tap, emit (nil discards), count. It is the one production loop behind
-// the frames and step endpoints. Chunks land in buf, which is either
-// shorter than n (reused for every chunk) or at least n long (the chunks
-// fill it in order, keeping every frame). It stops early when ctx is done
-// or emit returns false, leaving the session position where it got to.
-// emit's last is true for the chunk that completes the n frames. The
-// caller holds ss.mu.
-func (s *Server) produce(ctx context.Context, ss *session, n int, buf []float64, emit func(chunk []float64, last bool) bool) {
-	start := ss.stream.Pos()
+// produce advances every session of group by n frames, streamChunk at a
+// time: fill, statmon tap, emit (nil discards), count. It is the one
+// production loop behind the frames and step endpoints. A frames read
+// passes one session; a step passes a lockstep group of up to stepGroup
+// *modelspec.Stream sessions, which modelspec.FillStreams fills together.
+// Session k's chunks land in bufs[k], which is either shorter than n (reused
+// for every chunk) or at least n long (the chunks fill it in order, keeping
+// every frame). The tap, the served count and framesStreamed are applied
+// per session per chunk. It stops early when ctx is done or emit returns
+// false, leaving the sessions where they got to. emit is for one-session
+// groups; its last is true for the chunk that completes the n frames. The
+// caller holds every group member's ss.mu.
+func (s *Server) produce(ctx context.Context, group []*session, n int, bufs [][]float64, emit func(chunk []float64, last bool) bool) {
+	var (
+		starts [stepGroup]int
+		sts    [stepGroup]*modelspec.Stream
+		chunks [stepGroup][]float64
+	)
+	for k, ss := range group {
+		starts[k] = ss.stream.Pos()
+		if len(group) > 1 {
+			sts[k] = ss.stream.(*modelspec.Stream)
+		}
+	}
 	for done := 0; done < n; {
 		if ctx.Err() != nil {
 			return
 		}
 		c := min(n-done, streamChunk)
-		chunk := buf[:c]
-		if len(buf) >= n {
-			chunk = buf[done : done+c]
+		for k, buf := range bufs {
+			chunks[k] = buf[:c]
+			if len(buf) >= n {
+				chunks[k] = buf[done : done+c]
+			}
 		}
-		ss.stream.Fill(chunk)
+		if len(group) == 1 {
+			group[0].stream.Fill(chunks[0])
+		} else {
+			modelspec.FillStreams(sts[:len(group)], chunks[:len(group)])
+		}
 		// Statistical self-monitoring tap: zero-copy (the monitor reads the
 		// chunk in place, before emit or the next fill reuses it) and
 		// position-aware, so the monitor can detect seeks and sampling
 		// gaps. The sampled counter is atomic, so step workers feed it
 		// without coordination.
-		if ss.mon.Observe(int64(start+done), chunk) {
-			s.metrics.statmonSampled.Add(float64(c))
+		for k, ss := range group {
+			if ss.mon.Observe(int64(starts[k]+done), chunks[k]) {
+				s.metrics.statmonSampled.Add(float64(c))
+			}
 		}
-		if emit != nil && !emit(chunk, done+c == n) {
+		if emit != nil && !emit(chunks[0], done+c == n) {
 			return
 		}
 		done += c
-		ss.served += uint64(c)
-		s.metrics.framesStreamed.Add(float64(c))
+		for _, ss := range group {
+			ss.served += uint64(c)
+			s.metrics.framesStreamed.Add(float64(c))
+		}
 	}
 }
 

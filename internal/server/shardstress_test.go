@@ -61,9 +61,10 @@ func TestShardedRegistryChurnStress(t *testing.T) {
 		if len(pool) == 0 {
 			return nil
 		}
+		// Distinct ids: a step lists each session at most once.
 		ids := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			ids = append(ids, pool[rng.Intn(len(pool))])
+		for _, i := range rng.Perm(len(pool))[:min(n, len(pool))] {
+			ids = append(ids, pool[i])
 		}
 		return ids
 	}

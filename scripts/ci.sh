@@ -62,7 +62,7 @@ for check in trunk-determinism trunk-hurst-preservation trunk-mux-gain; do
 done
 
 echo "== perf gates"
-# Host-independent perf gates: exact allocation counts, and two timing
+# Host-independent perf gates: exact allocation counts, and three timing
 # ratios taken in one process (both sides interleaved, median of 11 pairs),
 # so they hold on any host where absolute ns/op does not. Serving speed
 # itself is gated by the benchmark/ module under the parent/change
@@ -73,17 +73,20 @@ echo "== perf gates"
 #     TestDHSteadyStateZeroAlloc (PathInto, PathRealInto),
 #     Test{Forward,RealPath}ZeroAlloc,
 #     TestSteadyStateZeroAlloc (streamblock), TestStreamFillZeroAlloc
-#   benchdiff StreamTruncatedFill/16384, StreamStepAffinity -> step-fleet
-#     frames_per_s; TestStreamFillZeroAlloc, TestForChunksInlineZeroAlloc
+#   benchdiff StreamTruncatedFill/16384 -> step-fleet frames_per_s;
+#     TestStreamFillZeroAlloc, TestForChunksInlineZeroAlloc
+#   StreamStepAffinity -> step-fleet frames_per_s; TestStepLockstepRatio
+#     (median lockstep/serial time of 8 truncated streams <= 0.75),
+#     TestFillStreamsZeroAlloc
 #   benchdiff TrunkFillSerial/s=64 -> TestTrunkFillZeroAllocSteadyState,
 #     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
 #     tap/fill time share <= 0.05), TestObserveZeroAlloc
 #   capacity ramp smoke (loadgen -selfserve) -> stream-short frames_per_s;
 #     TestFramesRecordsAllocs (4- and 256-frame reads)
-# The two timing tests skip under -short and under -race, so no race run
+# The three timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server
@@ -103,6 +106,9 @@ go test ./internal/fft -run '^$' -fuzz 'FuzzRealForwardVsReference' -fuzztime=5s
 # The batched normal draw must emit exactly the values, and leave exactly
 # the generator state, of the same number of successive Norm calls.
 go test ./internal/rng -run '^$' -fuzz 'FuzzNormPairsVsNorm' -fuzztime=5s
+# The lockstep truncated-AR lanes must emit exactly the values, and leave
+# exactly the generator state, of successive Next calls on each lane.
+go test ./internal/hosking -run '^$' -fuzz 'FuzzLockstepVsNext' -fuzztime=5s
 
 echo "== trafficd smoke test"
 # Start the daemon on an ephemeral port, hit /healthz and a 100-frame
