@@ -211,22 +211,24 @@ func qsimRun(ctx context.Context, stdout io.Writer, f qsimFlags, results map[str
 	if k <= 0 {
 		k = int(10 * f.bufNorm)
 	}
+	// The fast path truncates the exact plan core derives truncations
+	// from, so one plan build serves both.
+	planLen := k
+	if f.fast {
+		planLen = core.TruncatedPlanLen(k)
+	}
+	plan, err := m.PlanCtx(ctx, planLen)
+	if err != nil {
+		return err
+	}
 	var trunc *hosking.Truncated
 	if f.fast {
-		trunc, err = m.TruncatedPlanCtx(ctx, k, f.fastTol)
+		trunc, err = plan.Truncate(hosking.TruncateOptions{Tol: f.fastTol})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "fast path: truncated AR(%d), max induced ACF error %.3g\n",
 			trunc.Order(), trunc.MaxACFError())
-	}
-	planLen := k
-	if trunc != nil {
-		planLen = trunc.Plan().Len() // already cached; avoids a second exact plan
-	}
-	plan, err := m.PlanCtx(ctx, planLen)
-	if err != nil {
-		return err
 	}
 
 	if f.sources > 1 {

@@ -109,6 +109,44 @@ func TestRunMultiplexed(t *testing.T) {
 	}
 }
 
+// TestRunFast pins the truncated-AR fast path's output at a fixed seed,
+// for the importance-sampling and the multiplexed estimators, to what it
+// printed when the truncation still pointed at its exact plan. The horizon
+// (600) runs past the truncation order (329), so the frozen AR(p) law is
+// exercised, not just the exact warm-up steps.
+func TestRunFast(t *testing.T) {
+	path := testTracePath(t)
+	rows := []struct {
+		args []string
+		want string
+	}{
+		{
+			[]string{"-util", "0.6", "-buffer", "30", "-twist", "1.0"},
+			"fast path: truncated AR(329), max induced ACF error 0.053\n" +
+				"Importance sampling, util 0.60, normalized buffer 30, k = 600, N = 200:\n" +
+				"  P(Q_k > b) = 0.02464  (log10 -1.61)\n" +
+				"  std err 0.00173, hits 122, normalized variance 0.991\n" +
+				"  variance reduction vs plain MC: 40x\n",
+		},
+		{
+			[]string{"-util", "0.6", "-buffer", "5", "-sources", "2"},
+			"fast path: truncated AR(329), max induced ACF error 0.053\n" +
+				"2 multiplexed sources, util 0.60, normalized buffer 5, k = 600:\n" +
+				"  P(Q_k > b) = 0.02  (log10 -1.70), hits 4/200\n",
+		},
+	}
+	for _, row := range rows {
+		args := append([]string{"-i", path, "-fast", "-horizon", "600", "-reps", "200", "-seed", "5"}, row.args...)
+		var stdout, stderr bytes.Buffer
+		if err := run(args, &stdout, &stderr); err != nil {
+			t.Fatal(err)
+		}
+		if got := stdout.String(); got != row.want {
+			t.Errorf("qsim %s:\ngot:\n%s\nwant:\n%s", strings.Join(row.args, " "), got, row.want)
+		}
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if err := run(nil, &stdout, &stderr); err == nil {

@@ -25,6 +25,7 @@ import (
 	"time"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/core"
 	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/dist"
 	"vbrsim/internal/fft"
@@ -225,20 +226,12 @@ func paperModel() (acf.Composite, transform.T, dist.Distribution, error) {
 	return comp, tr, tr.Target, nil
 }
 
-// streamPlanLen is the exact-plan length behind the truncated fast path,
-// matching what modelspec.Stream derives (core.TruncatedPlanForCtx with an
-// unbounded horizon), so conformance exercises the very plans production
-// streams run on.
-const streamPlanLen = 4096
-
-// truncatedFor builds the default truncated-AR view of the model through
-// the shared plan cache.
+// truncatedFor returns the default truncated-AR view of the model that
+// modelspec streams run on: core.TruncatedPlanForCtx with an unbounded
+// horizon, through the shared cache, so conformance gates the very
+// truncation production streams use.
 func truncatedFor(ctx context.Context, model acf.Model) (*hosking.Truncated, error) {
-	plan, err := hosking.CachedPlanCtx(ctx, model, streamPlanLen)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Truncate(hosking.TruncateOptions{})
+	return core.TruncatedPlanForCtx(ctx, model, 0, 0)
 }
 
 // genBackend is one background-path generator under test. All three

@@ -273,33 +273,28 @@ func (m *Model) TruncatedPlanCtx(ctx context.Context, n int, tol float64) (*hosk
 	return TruncatedPlanForCtx(ctx, m.Background, n, tol)
 }
 
+// TruncatedPlanLen is the exact-plan length a truncation for paths up to
+// length n is derived from. The truncated generator is horizon-unbounded,
+// so the exact plan only has to be long enough for the partial correlations
+// to die out (for the paper's LRD composite that takes a few hundred lags):
+// n is clamped to [truncPlanLenMin, autoHoskingLimit], and n <= 0 (an
+// unbounded stream) selects autoHoskingLimit.
+func TruncatedPlanLen(n int) int {
+	if n <= 0 {
+		return autoHoskingLimit
+	}
+	return min(max(n, truncPlanLenMin), autoHoskingLimit)
+}
+
 // TruncatedPlanForCtx builds the truncated-AR(p) fast view for an arbitrary
-// background ACF, sharing exact plans through the process-wide cache. It is
+// background ACF, sharing truncations through the process-wide cache. It is
 // the entry point the serving layer uses, where sessions are created from
 // model specs rather than fitted Models. n is a horizon hint (use 0 for
-// unbounded streaming); the exact plan length is clamped exactly as
-// Model.TruncatedPlan clamps it, so offline and served generation derive
-// bit-identical plans.
+// unbounded streaming); the exact plan length is TruncatedPlanLen(n), so
+// offline and served generation derive bit-identical truncations. The cache
+// keeps the truncation, not the plan behind it.
 func TruncatedPlanForCtx(ctx context.Context, model acf.Model, n int, tol float64) (*hosking.Truncated, error) {
-	// The truncated generator is horizon-unbounded, so the exact plan only
-	// has to be long enough for the partial correlations to die out (for
-	// the paper's LRD composite that takes a few hundred lags): clamp to
-	// [truncPlanLenMin, autoHoskingLimit] independent of n.
-	planLen := n
-	if planLen <= 0 {
-		planLen = autoHoskingLimit
-	}
-	if planLen < truncPlanLenMin {
-		planLen = truncPlanLenMin
-	}
-	if planLen > autoHoskingLimit {
-		planLen = autoHoskingLimit
-	}
-	plan, err := hosking.CachedPlanCtx(ctx, model, planLen)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Truncate(hosking.TruncateOptions{Tol: tol})
+	return hosking.Shared.TruncatedCtx(ctx, model, TruncatedPlanLen(n), hosking.TruncateOptions{Tol: tol})
 }
 
 // Generate synthesizes n frames of foreground traffic.
@@ -324,13 +319,7 @@ func generateBackground(model acf.Model, n int, seed uint64, backend Backend) ([
 		return plan.Path(rng.New(seed), n), nil
 	}
 	if backend == BackendHoskingFast {
-		planLen := n
-		if planLen < truncPlanLenMin {
-			planLen = truncPlanLenMin
-		}
-		if planLen > autoHoskingLimit {
-			planLen = autoHoskingLimit
-		}
+		planLen := TruncatedPlanLen(n)
 		plan, err := hosking.CachedPlan(model, planLen)
 		if err != nil {
 			return nil, err

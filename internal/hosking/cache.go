@@ -1,17 +1,26 @@
 // Process-wide plan cache. Plan construction is O(n^2); the experiment
-// pipelines and repeated Fit/Generate calls keep asking for the same
-// (ACF model, length) plans. The cache is keyed by a fingerprint of the
-// *evaluated* autocorrelation table — not the model value — so any two
-// models that agree on the first n lags share a plan, and models carrying
-// slices or closures need no comparability. Model values with an identity —
-// comparable values, and values carrying slices such as acf.Composite through
-// a canonical encoding of their contents — additionally get an identity fast
-// path so warm hits skip the O(n) table evaluation. Concurrent requests for
-// the same plan are single-flighted: one goroutine builds, the rest wait.
+// pipelines, repeated Fit/Generate calls and every session the server opens
+// keep asking for the same (ACF model, length) plans, or for the same
+// truncation of one. An entry holds either an exact Plan (offline users:
+// experiments, importance sampling, transform.Measure, conformance's exact
+// backends) or a Truncated (the served path): a truncation miss builds the
+// plan outside the cache, truncates it and lets the plan go, so the cache
+// retains the O(p^2) prefix the truncation reads rather than the O(n^2)
+// plan.
 //
-// Because a hash key can collide, every hit is verified: the cached plan's
-// autocorrelation table must match the requested model bitwise, otherwise
-// the request falls through to a direct build (bypassing the cache).
+// The cache is keyed by a fingerprint of the *evaluated* autocorrelation
+// table — not the model value — so any two models that agree on the first n
+// lags share an entry, and models carrying slices or closures need no
+// comparability. Model values with an identity — comparable values, and
+// values carrying slices such as acf.Composite through a canonical encoding
+// of their contents — additionally get an identity fast path so warm hits
+// skip the O(n) table evaluation. Concurrent requests for the same entry
+// are single-flighted: one goroutine builds, the rest wait.
+//
+// Because a hash key can collide, every hit is verified: the entry's
+// autocorrelation table (a plan's own, or the one a truncation entry keeps)
+// must match the requested model bitwise, otherwise the request falls
+// through to a direct build (bypassing the cache).
 package hosking
 
 import (
@@ -27,11 +36,12 @@ import (
 )
 
 // DefaultCacheCap is the eviction cap of the shared cache: the number of
-// distinct (model, length) plans kept in memory.
+// distinct plans and truncations kept in memory.
 const DefaultCacheCap = 16
 
-// Shared is the process-wide plan cache used by CachedPlan and, through it,
-// by core.Model and the experiment pipelines.
+// Shared is the process-wide plan cache: through CachedPlan and
+// core.TruncatedPlanForCtx it serves core.Model, the serving layer and the
+// experiment pipelines.
 var Shared = NewPlanCache(DefaultCacheCap)
 
 // CachedPlan returns a plan for (model, n) from the shared process-wide
@@ -50,7 +60,7 @@ func CachedPlanCtx(ctx context.Context, model acf.Model, n int) (*Plan, error) {
 type CacheStats struct {
 	// Hits counts requests served from an existing entry (identity or
 	// verified content match), including requests that waited for an
-	// in-flight build of the same plan.
+	// in-flight build of the same entry.
 	Hits uint64
 	// Misses counts requests that had to run the O(n^2) recursion: cold
 	// keys and fingerprint-collision fallthroughs (which build uncached).
@@ -62,12 +72,14 @@ type CacheStats struct {
 	SingleflightWaits uint64
 }
 
-// PlanCache is a bounded, single-flighted cache of Durbin–Levinson plans.
+// PlanCache is a bounded, single-flighted cache of Durbin–Levinson plans
+// and their truncations.
 type PlanCache struct {
 	mu      sync.Mutex
 	cap     int
 	tick    uint64 // LRU clock
 	stats   CacheStats
+	bytes   int64 // sum of the ready entries' sizes
 	entries map[cacheKey]*cacheEntry
 	// ident is an identity fast path: for model values with an identity
 	// (see modelIdentity) a repeat Get skips the O(n) table evaluation and
@@ -76,29 +88,36 @@ type PlanCache struct {
 	ident map[identKey]*cacheEntry
 }
 
+// cacheKey is a table fingerprint, the plan length and, for a truncation
+// entry, its defaulted options (the zero value keys the plan itself).
 type cacheKey struct {
-	fp uint64
-	n  int
+	fp  uint64
+	n   int
+	opt TruncateOptions
 }
 
-// identKey is a model identity plus the plan length. A hashable model value
-// keys by itself (model); any other model with an identity keys by its
-// dynamic type and canonical encoding (typ, enc), with model left nil.
+// identKey is a model identity plus the plan length and truncation options.
+// A hashable model value keys by itself (model); any other model with an
+// identity keys by its dynamic type and canonical encoding (typ, enc), with
+// model left nil.
 type identKey struct {
 	model acf.Model
 	typ   reflect.Type
 	enc   string
 	n     int
+	opt   TruncateOptions
 }
 
 type cacheEntry struct {
-	ready chan struct{} // closed when plan/err are set
-	plan  *Plan
+	ready chan struct{} // closed when val/err are set
+	val   any           // *Plan, or *Truncated for a truncation key
+	table []float64     // the n-lag autocorrelation table hits are verified against
+	size  int64         // float64 backing bytes the entry retains, set at insert
 	err   error
 	used  uint64
 }
 
-// NewPlanCache returns a cache holding at most capacity ready plans.
+// NewPlanCache returns a cache holding at most capacity ready entries.
 func NewPlanCache(capacity int) *PlanCache {
 	if capacity < 1 {
 		capacity = 1
@@ -125,15 +144,24 @@ func (c *PlanCache) Stats() CacheStats {
 	return c.stats
 }
 
-// Purge drops every ready entry. In-flight builds complete and are kept.
+// Bytes returns the float64 backing bytes the ready entries retain: plan
+// tables, truncation prefixes and the tables truncation entries keep to
+// verify hits.
+func (c *PlanCache) Bytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes
+}
+
+// Purge drops every ready entry, plans and truncations alike. In-flight
+// builds complete and are kept.
 func (c *PlanCache) Purge() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for k, e := range c.entries {
 		select {
 		case <-e.ready:
-			delete(c.entries, k)
-			c.dropIdentLocked(e)
+			c.dropLocked(k, e)
 		default:
 		}
 	}
@@ -181,13 +209,38 @@ func (c *PlanCache) Get(model acf.Model, n int) (*Plan, error) {
 // requests for the same plan (failed entries are dropped before waiters are
 // released, so the retry starts a fresh build).
 func (c *PlanCache) GetCtx(ctx context.Context, model acf.Model, n int) (*Plan, error) {
-	// A span only when a tracer rides the context: the delta of the cache
-	// counters across the call tells hit from miss from singleflight wait
-	// without touching the lookup paths themselves.
+	v, err := c.acquire(ctx, model, n, TruncateOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Plan), nil
+}
+
+// TruncatedCtx returns the truncation of the length-n plan of model under
+// opt: the same *Truncated for every caller while its entry lives, so state
+// memoized on it through Derived is built once. It shares GetCtx's
+// identity path, verification, single-flight, cancel-retry, counters and
+// LRU cap, but the entry holds only the truncation and the n-lag table that
+// verifies hits; the plan a miss builds is garbage once truncated.
+// Truncation errors are not cached, like failed plan builds.
+func (c *PlanCache) TruncatedCtx(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (*Truncated, error) {
+	v, err := c.acquire(ctx, model, n, opt.withDefaults())
+	if err != nil {
+		return nil, err
+	}
+	return v.(*Truncated), nil
+}
+
+// acquire looks up the entry for (model, n, opt) — a plan when opt is the
+// zero value, else its defaulted truncation — and records a plan.acquire
+// span when a tracer rides the context.
+func (c *PlanCache) acquire(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
+	// The delta of the cache counters across the call tells hit from miss
+	// from singleflight wait without touching the lookup paths themselves.
 	if tr := obs.TracerFrom(ctx); tr != nil {
 		before := c.Stats()
 		span := tr.Start("plan.acquire")
-		plan, err := c.getRetry(ctx, model, n)
+		v, err := c.getRetry(ctx, model, n, opt)
 		after := c.Stats()
 		attrs := map[string]any{
 			"n":                  n,
@@ -199,17 +252,17 @@ func (c *PlanCache) GetCtx(ctx context.Context, model acf.Model, n int) (*Plan, 
 			attrs["error"] = err.Error()
 		}
 		span.End(attrs)
-		return plan, err
+		return v, err
 	}
-	return c.getRetry(ctx, model, n)
+	return c.getRetry(ctx, model, n, opt)
 }
 
-func (c *PlanCache) getRetry(ctx context.Context, model acf.Model, n int) (*Plan, error) {
-	plan, err := c.get(ctx, model, n)
+func (c *PlanCache) getRetry(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
+	v, err := c.get(ctx, model, n, opt)
 	if err != nil && isContextErr(err) && ctx.Err() == nil {
-		plan, err = c.get(ctx, model, n)
+		v, err = c.get(ctx, model, n, opt)
 	}
-	return plan, err
+	return v, err
 }
 
 func isContextErr(err error) bool {
@@ -232,11 +285,29 @@ func waitEntry(ctx context.Context, e *cacheEntry) (waited bool, err error) {
 	}
 }
 
-func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, error) {
+// buildEntry runs the Durbin–Levinson recursion for (model, n) and, for a
+// truncation key, truncates the plan and drops it.
+func buildEntry(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
+	plan, err := NewPlanOptsCtx(ctx, model, n, PlanOptions{})
+	if err != nil {
+		return nil, err
+	}
+	if opt == (TruncateOptions{}) {
+		return plan, nil
+	}
+	t, err := plan.truncate(opt)
+	if err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+func (c *PlanCache) get(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
 	if n <= 0 || n > MaxPlanLen {
-		return NewPlanOptsCtx(ctx, model, n, PlanOptions{}) // let NewPlan produce the error
+		return buildEntry(ctx, model, n, opt) // let NewPlan produce the error
 	}
 	ik, hasIdent := modelIdentity(model, n)
+	ik.opt = opt
 	if hasIdent {
 		c.mu.Lock()
 		if e, ok := c.ident[ik]; ok {
@@ -252,13 +323,13 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 			}
 			// Only successful builds stay in the identity map, but a build
 			// can still fail after this entry was recorded dead — count the
-			// hit only once the entry actually delivered a plan, so the
+			// hit only once the entry actually delivered a value, so the
 			// /metrics counters are not skewed by canceled waiters and
 			// failed builds.
 			if e.err == nil {
 				c.noteHit()
 			}
-			return e.plan, e.err
+			return e.val, e.err
 		}
 		c.mu.Unlock()
 	}
@@ -266,7 +337,7 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	for k := range table {
 		table[k] = model.At(k)
 	}
-	key := cacheKey{fp: fingerprint(table), n: n}
+	key := cacheKey{fp: fingerprint(table), n: n, opt: opt}
 
 	c.mu.Lock()
 	c.tick++
@@ -283,7 +354,7 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 		if e.err != nil {
 			return nil, e.err
 		}
-		if tablesEqual(e.plan.r, table) {
+		if tablesEqual(e.table, table) {
 			// Verified content match: safe to record the identity shortcut.
 			c.mu.Lock()
 			c.stats.Hits++
@@ -291,12 +362,12 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 				c.ident[ik] = e
 			}
 			c.mu.Unlock()
-			return e.plan, nil
+			return e.val, nil
 		}
 		// Fingerprint collision: different table, same hash. Build directly
 		// without caching rather than evicting the legitimate occupant.
 		c.noteMiss()
-		return NewPlanOptsCtx(ctx, tableModel(table), n, PlanOptions{})
+		return buildEntry(ctx, tableModel(table), n, opt)
 	}
 	e := &cacheEntry{ready: make(chan struct{}), used: c.tick}
 	c.entries[key] = e
@@ -307,19 +378,26 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int) (*Plan, err
 	c.evictLocked()
 	c.mu.Unlock()
 
-	plan, err := NewPlanOptsCtx(ctx, tableModel(table), n, PlanOptions{})
+	v, err := buildEntry(ctx, tableModel(table), n, opt)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if err != nil {
-		c.mu.Lock()
 		delete(c.entries, key)
 		c.dropIdentLocked(e)
-		c.mu.Unlock()
 		e.err = err
 		close(e.ready)
 		return nil, err
 	}
-	e.plan = plan
+	e.val = v
+	switch v := v.(type) {
+	case *Plan:
+		e.table, e.size = v.r, v.bytes()
+	case *Truncated:
+		e.table, e.size = table, v.head.bytes()+8*int64(len(table))
+	}
+	c.bytes += e.size
 	close(e.ready)
-	return plan, nil
+	return v, nil
 }
 
 func (c *PlanCache) noteHit() {
@@ -461,6 +539,14 @@ func hashableValue(v reflect.Value) bool {
 	}
 }
 
+// dropLocked removes the ready entry e, stored under k, and stops counting
+// its bytes.
+func (c *PlanCache) dropLocked(k cacheKey, e *cacheEntry) {
+	delete(c.entries, k)
+	c.dropIdentLocked(e)
+	c.bytes -= e.size
+}
+
 // dropIdentLocked removes every identity mapping that points at e.
 func (c *PlanCache) dropIdentLocked(e *cacheEntry) {
 	for k, v := range c.ident {
@@ -490,8 +576,7 @@ func (c *PlanCache) evictLocked() {
 		if !found {
 			return
 		}
-		c.dropIdentLocked(c.entries[victim])
-		delete(c.entries, victim)
+		c.dropLocked(victim, c.entries[victim])
 		c.stats.Evictions++
 	}
 }

@@ -77,6 +77,25 @@ func (p *Plan) row(k int) []float64 {
 	return p.flat[off : off+k]
 }
 
+// prefix returns a plan of the first m steps (1 <= m <= n) holding its own
+// copies of rows k < m and of r, v and phiSum below m, so it does not keep
+// p alive. Durbin–Levinson is prefix-consistent: every step below m reads
+// the same values from either plan.
+func (p *Plan) prefix(m int) *Plan {
+	return &Plan{
+		n:      m,
+		r:      append([]float64(nil), p.r[:m]...),
+		flat:   append([]float64(nil), p.flat[:rowOffset(m)]...),
+		v:      append([]float64(nil), p.v[:m]...),
+		phiSum: append([]float64(nil), p.phiSum[:m]...),
+	}
+}
+
+// bytes returns the size of the plan's float64 tables.
+func (p *Plan) bytes() int64 {
+	return 8 * int64(len(p.r)+len(p.flat)+len(p.v)+len(p.phiSum))
+}
+
 // PlanOptions tunes plan construction. The zero value selects defaults.
 type PlanOptions struct {
 	// Workers is the number of goroutines used for the O(k) inner loops of

@@ -11,8 +11,8 @@ const memoCap = 16
 // memo caches values derived from the immutable object it is embedded in (a
 // Plan's truncations, a Truncated's engines and per-spec state). Because it
 // lives on that object, dropping the object — a plan-cache eviction or
-// Shared.Purge — releases everything derived from it: no process-wide map
-// pins a purged plan. The zero value is ready to use.
+// Shared.Purge of the entry holding it — releases everything derived from
+// it: no process-wide map pins a purged plan or truncation. The zero value is ready to use.
 type memo struct {
 	mu sync.Mutex
 	m  map[any]*memoEntry

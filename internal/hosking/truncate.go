@@ -55,10 +55,14 @@ type TruncateOptions struct {
 // and safe for concurrent use. Its conditional quantities agree exactly
 // with the plan for steps k < p and approximate them (within the measured
 // ACF error) for k >= p, where they become time-invariant.
+//
+// It keeps only the O(p^2) prefix of the plan it reads, not the plan: a
+// paper-model truncation (p = 361 of a 4096-step plan) holds about 0.5 MiB
+// where the plan holds 64 MiB.
 type Truncated struct {
-	plan   *Plan
+	head   *Plan // the plan's first p+1 steps: warm-up rows, v, phiSum and r up to lag p
 	order  int
-	row    []float64 // frozen reversed row p: row[i] = phi_{p,p-i}
+	row    []float64 // frozen reversed row p: row[i] = phi_{p,p-i} (head's row p)
 	v      float64   // innovation variance v_p
 	sqrtV  float64
 	phiSum float64 // sum of the frozen row
@@ -69,7 +73,8 @@ type Truncated struct {
 }
 
 // withDefaults fills the zero fields, so equivalent options share one memo
-// key on the plan.
+// key on the plan and one cache key. Defaulted options are never the zero
+// value, which keys plans in the cache.
 func (o TruncateOptions) withDefaults() TruncateOptions {
 	if o.Tol <= 0 {
 		o.Tol = 1e-3
@@ -121,10 +126,11 @@ func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
 	for {
 		maxErr := p.arExtensionError(order)
 		if opt.ACFTol <= 0 || maxErr <= opt.ACFTol {
+			head := p.prefix(order + 1)
 			t := &Truncated{
-				plan:   p,
+				head:   head,
 				order:  order,
-				row:    append([]float64(nil), p.row(order)...),
+				row:    head.row(order),
 				v:      p.v[order],
 				sqrtV:  math.Sqrt(p.v[order]),
 				phiSum: p.phiSum[order],
@@ -186,14 +192,9 @@ func (t *Truncated) ImpliedACF(lags int) []float64 {
 	if lags <= 0 {
 		return nil
 	}
-	p := t.plan
 	ext := make([]float64, lags)
-	head := t.order + 1
-	if head > lags {
-		head = lags
-	}
-	copy(ext, p.r[:head])
-	for k := head; k < lags; k++ {
+	exact := copy(ext, t.head.r)
+	for k := exact; k < lags; k++ {
 		base := k - t.order
 		var s float64
 		for i := 0; i < t.order; i++ {
@@ -211,16 +212,14 @@ func (t *Truncated) Tol() float64 { return t.tol }
 // AR(p)-implied autocorrelation and the plan's table beyond the order.
 func (t *Truncated) MaxACFError() float64 { return t.maxErr }
 
-// Plan returns the exact plan the truncation was derived from.
-func (t *Truncated) Plan() *Plan { return t.plan }
-
 // Derived returns the value memoized on the truncation under key, calling
 // build on its first request; concurrent first requests share one build.
 // Packages that precompute immutable state from a truncation (streamblock
 // engines, modelspec's per-spec state) keep it here, so it is released with
-// the truncation's plan — on plan-cache eviction or PlanCache.Purge — rather
-// than pinned by a process-wide map. key must be comparable; give it an
-// unexported type so packages cannot collide. At most a small fixed number
+// the truncation — when the cache entry holding it (the served truncation,
+// or the plan an offline truncation is memoized on) is evicted or purged —
+// rather than pinned by a process-wide map. key must be comparable; give it
+// an unexported type so packages cannot collide. At most a small fixed number
 // of keys is kept per truncation; past that the memo starts over.
 func (t *Truncated) Derived(key any, build func() (any, error)) (any, error) {
 	return t.derived.get(key, build)
@@ -235,7 +234,7 @@ func (t *Truncated) Len() int { return math.MaxInt }
 // order, the frozen innovation variance at and beyond it.
 func (t *Truncated) CondVar(k int) float64 {
 	if k < t.order {
-		return t.plan.v[k]
+		return t.head.v[k]
 	}
 	return t.v
 }
@@ -244,7 +243,7 @@ func (t *Truncated) CondVar(k int) float64 {
 // order), the quantity the importance-sampling twist needs.
 func (t *Truncated) PhiRowSum(k int) float64 {
 	if k < t.order {
-		return t.plan.PhiRowSum(k)
+		return t.head.PhiRowSum(k)
 	}
 	return t.phiSum
 }
@@ -254,7 +253,7 @@ func (t *Truncated) PhiRowSum(k int) float64 {
 // the last p values at and beyond it.
 func (t *Truncated) CondMean(k int, x []float64) float64 {
 	if k < t.order {
-		return t.plan.CondMean(k, x)
+		return t.head.CondMean(k, x)
 	}
 	base := k - t.order
 	h := x[base : base+t.order]
@@ -271,7 +270,7 @@ func (t *Truncated) CondMean(k int, x []float64) float64 {
 // conditional law (bit-identical to the exact generator), the rest the
 // frozen AR(p) law.
 func (t *Truncated) Generate(r *rng.Source, out []float64) {
-	p := t.plan
+	p := t.head
 	limit := t.order
 	if limit > len(out) {
 		limit = len(out)
@@ -325,8 +324,8 @@ func (g *TruncatedGenerator) Next() float64 {
 	k := g.pos
 	var x float64
 	if k < t.order {
-		m := t.plan.CondMean(k, g.buf)
-		x = m + math.Sqrt(t.plan.v[k])*g.rng.Norm()
+		m := t.head.CondMean(k, g.buf)
+		x = m + math.Sqrt(t.head.v[k])*g.rng.Norm()
 	} else {
 		if len(g.buf) == cap(g.buf) {
 			n := copy(g.buf, g.buf[len(g.buf)-t.order:])

@@ -19,7 +19,7 @@ import (
 // transform LUT. It is built once per (spec, truncation) and memoized on the
 // truncation (hosking.Truncated.Derived), so opening another session of a
 // spec costs only its per-seed generator or arena, and the whole value is
-// released with its plan when the plan cache evicts or purges it.
+// released with the truncation when the plan cache evicts or purges it.
 type gaussian struct {
 	trunc *hosking.Truncated
 	tr    transform.T
@@ -86,8 +86,8 @@ func validateGaussian(s *Spec) error {
 	return nil
 }
 
-// gaussianState acquires the spec's plan (cached, cancellable) and its
-// shared state on that plan's truncation. build, when set, adds engine-
+// gaussianState acquires the spec's truncation (cached, cancellable) and
+// its shared state on that truncation. build, when set, adds engine-
 // specific state the first time the shared state is built.
 func (s *Spec) gaussianState(ctx context.Context, tol float64, build func(*gaussian, acf.Model) error) (*gaussian, error) {
 	model, err := s.ACF.Model()

@@ -100,8 +100,10 @@ func TestSharedStateReleasedOnPurge(t *testing.T) {
 
 // TestSharedStateConcurrentOpens opens, seeks and fills one spec from 32
 // goroutines at once, starting from a cold plan cache so the first builds
-// race too. Every stream must match serial Spec.Frames byte for byte. Run
-// it under -race: the shared state is read by every stream at once.
+// race too. Every open must get the one cached truncation, and every open
+// of one engine the one shared state memoized on it (Derived built once).
+// Every stream must match serial Spec.Frames byte for byte. Run it under
+// -race: the shared state is read by every stream at once.
 func TestSharedStateConcurrentOpens(t *testing.T) {
 	const (
 		workers = 32
@@ -119,6 +121,7 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 	}
 	hosking.Shared.Purge()
 	got := make([][]float64, workers)
+	shared := make([]*gaussian, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i := range specs {
@@ -131,6 +134,7 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 				return
 			}
 			defer st.Close()
+			shared[i] = st.g
 			if err := st.SeekCtx(ctx, froms[i]); err != nil {
 				errs[i] = err
 				return
@@ -144,6 +148,12 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 	for i := range specs {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
+		}
+		if shared[i].trunc != shared[0].trunc {
+			t.Fatalf("stream %d got its own truncation", i)
+		}
+		if shared[i] != shared[i%2] {
+			t.Fatalf("stream %d (%s engine) got its own shared state", i, specs[i].Engine)
 		}
 		want, err := specs[i].Frames(ctx, froms[i], n, 0)
 		if err != nil {

@@ -84,9 +84,13 @@ echo "== perf gates"
 #     tap/fill time share <= 0.05), TestObserveZeroAlloc
 #   capacity ramp smoke (loadgen -selfserve) -> stream-short frames_per_s;
 #     TestFramesRecordsAllocs (4- and 256-frame reads)
+# Retained memory: TestTruncatedOpenRetainedBytes (exact HeapAlloc delta
+#   of one cold paper-spec open: < 1 MiB truncated, < 4 MiB block) guards
+#   that a served spec keeps its plan's O(p^2) prefix, not the 64 MiB plan,
+#   and that the cache holds truncations, not plans; it skips under -race.
 # The three timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server
@@ -176,6 +180,7 @@ for name in \
     vbrsim_par_peak_in_flight vbrsim_par_utilization \
     vbrsim_plan_cache_hits_total vbrsim_plan_cache_misses_total \
     vbrsim_plan_cache_evictions_total vbrsim_plan_cache_singleflight_waits_total \
+    vbrsim_plan_cache_bytes \
     vbrsim_streamblock_refills_total vbrsim_streamblock_arena_bytes \
     vbrsim_streamblock_block_ns \
     vbrsim_trunk_sessions_active vbrsim_trunk_sources_active vbrsim_trunk_fanout_ns \
