@@ -59,7 +59,7 @@ const (
 // its truncation from.
 const autoHoskingLimit = 4096
 
-// truncPlanLenMin is the smallest exact plan TruncatedPlan builds: long
+// truncPlanLenMin is the smallest exact plan a truncation is derived from: long
 // enough for the partial correlations of the paper's LRD models to fall
 // below the truncation cutoff.
 const truncPlanLenMin = 1024
@@ -255,22 +255,6 @@ func (m *Model) Plan(n int) (*hosking.Plan, error) {
 // cache (a tracer attached to ctx records the plan.acquire span).
 func (m *Model) PlanCtx(ctx context.Context, n int) (*hosking.Plan, error) {
 	return hosking.CachedPlanCtx(ctx, m.Background, n)
-}
-
-// TruncatedPlan builds the truncated-AR(p) fast generation view for paths
-// up to length n. The underlying exact plan length is capped at
-// autoHoskingLimit — the whole point of truncation is that generation may
-// run past the plan. tol is the partial-correlation cutoff (0 selects the
-// default); the induced ACF error is measured and exposed on the result.
-func (m *Model) TruncatedPlan(n int, tol float64) (*hosking.Truncated, error) {
-	return m.TruncatedPlanCtx(context.Background(), n, tol)
-}
-
-// TruncatedPlanCtx is TruncatedPlan with cancellation threaded through the
-// underlying exact-plan build (the expensive part; truncation itself is
-// bounded by the capped plan length).
-func (m *Model) TruncatedPlanCtx(ctx context.Context, n int, tol float64) (*hosking.Truncated, error) {
-	return TruncatedPlanForCtx(ctx, m.Background, n, tol)
 }
 
 // TruncatedPlanLen is the exact-plan length a truncation for paths up to

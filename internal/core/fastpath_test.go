@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,7 +23,7 @@ func TestArrivalPathIntoMatchesArrivalPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := m.TruncatedPlan(200, 0)
+	fast, err := TruncatedPlanForCtx(context.Background(), m.Background, 200, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestTruncatedPlanGeneratesBeyondPlanLength(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := m.TruncatedPlan(300, 0)
+	fast, err := TruncatedPlanForCtx(context.Background(), m.Background, 300, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

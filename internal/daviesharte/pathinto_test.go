@@ -81,3 +81,39 @@ func TestPathEngineZeroAlloc(t *testing.T) {
 		t.Errorf("PathRealInto allocates %v/op at steady state, want 0", a)
 	}
 }
+
+// TestScratchSizedForRealPath pins what a Scratch that only serves
+// PathRealInto holds: the half-spectrum (m/2+1 bins) and the half-length
+// synthesis scratch (m/2), not a full m-bin spectrum it never reads. A
+// later PathInto grows the spectrum to m and leaves the paths unchanged.
+func TestScratchSizedForRealPath(t *testing.T) {
+	const n = 1024
+	p, err := NewPlan(acf.FGN{H: 0.9}, n, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := p.m / 2
+	var s Scratch
+	got := make([]float64, n)
+	p.PathRealInto(got, &s, rng.New(9))
+	if cap(s.a) != h+1 || cap(s.z) != h {
+		t.Fatalf("PathRealInto-only scratch: cap(a) = %d, cap(z) = %d, want %d and %d", cap(s.a), cap(s.z), h+1, h)
+	}
+	want := make([]float64, n)
+	p.PathRealInto(want, nil, rng.New(9))
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame %d: reused scratch %v, fresh scratch %v", i, got[i], want[i])
+		}
+	}
+	p.PathInto(got, &s, rng.New(9))
+	if cap(s.a) != p.m || cap(s.z) != h {
+		t.Fatalf("after PathInto: cap(a) = %d, cap(z) = %d, want %d and %d", cap(s.a), cap(s.z), p.m, h)
+	}
+	p.PathRealInto(got, &s, rng.New(9))
+	for i := range got {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("frame %d after PathInto: %v, want %v", i, got[i], want[i])
+		}
+	}
+}

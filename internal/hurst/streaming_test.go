@@ -2,6 +2,7 @@ package hurst
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"vbrsim/internal/rng"
@@ -27,6 +28,41 @@ func TestAggVarMatchesBatchAggregation(t *testing.T) {
 		}
 		if diff := math.Abs(got - want); diff > 1e-9*math.Max(1, want) {
 			t.Errorf("m=%d: streaming var = %v, batch var = %v", m, got, want)
+		}
+	}
+}
+
+// TestAggVarBoundedLadder pins NewAggVar's ladder to the full one: every
+// level it keeps holds the same statistics, bit for bit (the top level has
+// no sibling to carry to, so its pending mean is not kept), and a fit
+// capped at its maxM is the same fit, whether or not maxM is a power of
+// two.
+func TestAggVarBoundedLadder(t *testing.T) {
+	x := fgnPath(t, 0.8, 1<<15, 5)
+	for _, maxM := range []int{1, 700, 1024} {
+		var full AggVar
+		short := NewAggVar(maxM)
+		for _, v := range x {
+			full.Push(v)
+			short.Push(v)
+		}
+		if want := bits.Len(uint(maxM)); len(short.lev) != want {
+			t.Fatalf("maxM=%d: %d levels, want %d", maxM, len(short.lev), want)
+		}
+		for k := range short.lev {
+			s, f := short.lev[k], full.lev[k]
+			s.pend, f.pend = 0, 0
+			if s != f {
+				t.Fatalf("maxM=%d level %d: %+v, full ladder %+v", maxM, k, short.lev[k], full.lev[k])
+			}
+		}
+		if v, n := short.VarianceAt(len(short.lev)); v != 0 || n != 0 {
+			t.Fatalf("maxM=%d: level past the ladder reads (%v, %v)", maxM, v, n)
+		}
+		es, errS := short.Estimate(1, maxM, 2)
+		ef, errF := full.Estimate(1, maxM, 2)
+		if (errS == nil) != (errF == nil) || math.Float64bits(es.H) != math.Float64bits(ef.H) {
+			t.Fatalf("maxM=%d: bounded fit (%v, %v), full fit (%v, %v)", maxM, es.H, errS, ef.H, errF)
 		}
 	}
 }

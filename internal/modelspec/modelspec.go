@@ -444,6 +444,20 @@ func (st *Stream) ImpliedACF(lags int) []float64 {
 	return st.g.impliedACF(lags)
 }
 
+// Memo returns the value build makes for key, shared by every stream of
+// the spec: the Gaussian engines keep it in the spec's shared state, which
+// is released with its truncation. Concurrent first requests may each
+// build, but all of them get the one value kept. The state holds one
+// value; a request under another key builds it anew and takes its place. key must be comparable and must capture every input of build
+// that the spec's shared state does not determine (its claimed H, say).
+// Engines without shared state (gop, tes) call build on every request.
+func (st *Stream) Memo(key any, build func() any) any {
+	if st.g == nil {
+		return build()
+	}
+	return st.g.memo(key, build)
+}
+
 // Fill produces len(out) consecutive frames.
 func (st *Stream) Fill(out []float64) { st.src.Fill(out) }
 

@@ -14,8 +14,11 @@ import (
 // open, each side taken after two GCs. The truncated engine reads only the
 // O(p^2) prefix of its plan (about 0.5 MiB at p = 361), and the cache holds
 // that truncation, not the 64 MiB plan of 4096 steps it came from. The
-// block engine adds its Davies-Harte engine, LUT and arena. The bounds hold
-// on any host: they count bytes, not time.
+// block engine adds its Davies-Harte engine, LUT and arena. A TES session
+// builds no plan: it keeps its generator and marginal, a few hundred bytes
+// (its statmon monitor is the server's, gated by
+// server.TestSessionRetainedBytes). The bounds hold on any host: they count
+// bytes, not time.
 func TestTruncatedOpenRetainedBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's shadow memory distorts heap deltas")
@@ -27,6 +30,8 @@ func TestTruncatedOpenRetainedBytes(t *testing.T) {
 	}{
 		{Paper(), 1 << 20},
 		{blockSpec(1), 4 << 20},
+		{Spec{Seed: 1, Engine: EngineTES, TES: &TESSpec{Alpha: 0.3},
+			Marginal: &MarginalSpec{Kind: "lognormal", Mu: 9.6, Sigma: 0.4}}, 1 << 10},
 	}
 	for _, row := range rows {
 		name := engineFor(row.spec.Engine).name

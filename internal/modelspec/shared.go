@@ -33,6 +33,13 @@ type gaussian struct {
 	refMu   sync.Mutex
 	atten   float64
 	implied []float64
+
+	// memo is Stream.Memo's one slot: a value a caller derives from the
+	// spec (the server's statmon reference), kept with this state so it
+	// is built once per spec and released with the truncation.
+	memoMu  sync.Mutex
+	memoKey any
+	memoVal any
 }
 
 // gaussianKey identifies a spec's shared state on its truncation: every
@@ -136,4 +143,25 @@ func (g *gaussian) impliedACF(lags int) []float64 {
 		g.implied = rho
 	}
 	return g.implied[:lags:lags]
+}
+
+// memo returns the value in the memo slot when it was built under key, and
+// otherwise builds it and takes the slot. build runs outside the lock, so
+// concurrent first requests may each build; the first to finish wins and
+// the others return its value.
+func (g *gaussian) memo(key any, build func() any) any {
+	g.memoMu.Lock()
+	k, v := g.memoKey, g.memoVal
+	g.memoMu.Unlock()
+	if v != nil && k == key {
+		return v
+	}
+	v = build()
+	g.memoMu.Lock()
+	defer g.memoMu.Unlock()
+	if g.memoVal != nil && g.memoKey == key {
+		return g.memoVal
+	}
+	g.memoKey, g.memoVal = key, v
+	return v
 }

@@ -101,7 +101,8 @@ func TestSharedStateReleasedOnPurge(t *testing.T) {
 // TestSharedStateConcurrentOpens opens, seeks and fills one spec from 32
 // goroutines at once, starting from a cold plan cache so the first builds
 // race too. Every open must get the one cached truncation, and every open
-// of one engine the one shared state memoized on it (Derived built once).
+// of one engine the one shared state memoized on it (Derived built once)
+// and the one value in its Memo slot.
 // Every stream must match serial Spec.Frames byte for byte. Run it under
 // -race: the shared state is read by every stream at once.
 func TestSharedStateConcurrentOpens(t *testing.T) {
@@ -122,6 +123,7 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 	hosking.Shared.Purge()
 	got := make([][]float64, workers)
 	shared := make([]*gaussian, workers)
+	memos := make([]any, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
 	for i := range specs {
@@ -142,6 +144,7 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 			got[i] = make([]float64, n)
 			st.Fill(got[i])
 			st.ImpliedACF(129)
+			memos[i] = st.Memo("ref", func() any { return new(int) })
 		}(i)
 	}
 	wg.Wait()
@@ -152,8 +155,8 @@ func TestSharedStateConcurrentOpens(t *testing.T) {
 		if shared[i].trunc != shared[0].trunc {
 			t.Fatalf("stream %d got its own truncation", i)
 		}
-		if shared[i] != shared[i%2] {
-			t.Fatalf("stream %d (%s engine) got its own shared state", i, specs[i].Engine)
+		if shared[i] != shared[i%2] || memos[i] != memos[i%2] {
+			t.Fatalf("stream %d (%s engine) got its own shared state or memo", i, specs[i].Engine)
 		}
 		want, err := specs[i].Frames(ctx, froms[i], n, 0)
 		if err != nil {
@@ -234,5 +237,39 @@ func TestStreamFillZeroAlloc(t *testing.T) {
 			t.Errorf("warm %s Fill of %d frames allocates %v/op, want 0",
 				engineFor(spec.Engine).name, len(out), a)
 		}
+	}
+}
+
+// TestStreamMemo checks Stream.Memo, where the server keeps each spec's
+// statmon reference: the streams of one spec share one value per key,
+// another key builds a value that takes the slot, an open after Purge
+// builds anew (the value lives on the truncation), and an engine without
+// shared state builds on every call.
+func TestStreamMemo(t *testing.T) {
+	builds := 0
+	build := func() any { builds++; return new(int) }
+	hosking.Shared.Purge()
+	a, b := openT(t, Paper()), openT(t, Paper())
+	v := a.Memo("k", build)
+	if w := b.Memo("k", build); w != v || builds != 1 {
+		t.Fatalf("two streams of one spec: %d builds, shared value %v", builds, w == v)
+	}
+	other := b.Memo("other", build)
+	if other == v || builds != 2 {
+		t.Fatalf("a new key: %d builds, new value %v", builds, other != v)
+	}
+	if w := a.Memo("other", build); w != other || builds != 2 {
+		t.Fatalf("the new key's value is not shared: %d builds", builds)
+	}
+	hosking.Shared.Purge()
+	if w := openT(t, Paper()).Memo("other", build); w == other || builds != 3 {
+		t.Fatalf("an open after Purge reused the memoized value (%d builds)", builds)
+	}
+	tes := openT(t, Spec{Seed: 1, Engine: EngineTES, TES: &TESSpec{Alpha: 0.3},
+		Marginal: &MarginalSpec{Kind: "lognormal", Mu: 9.6, Sigma: 0.4}})
+	tes.Memo("k", build)
+	tes.Memo("k", build)
+	if builds != 5 {
+		t.Fatalf("an engine without shared state: %d builds, want 5", builds)
 	}
 }

@@ -15,37 +15,63 @@ import (
 // contiguous only within one chunk).
 const monitorACFLen = streamChunk + 1
 
-// newMonitor builds a session's statistical monitor scored against ref,
-// or returns nil when statmon is disabled (StatmonSampleEvery < 0).
-func (s *Server) newMonitor(ref statmon.Ref) *statmon.Monitor {
-	if s.opt.StatmonSampleEvery < 0 {
+// monitorSettings is the statmon configuration every session of the
+// server shares, or nil when statmon is disabled (StatmonSampleEvery < 0).
+// Zero config fields fall through to statmon's documented defaults.
+func monitorSettings(opt *Options) *statmon.Settings {
+	if opt.StatmonSampleEvery < 0 {
 		return nil
 	}
-	// Zero config fields fall through to statmon's documented defaults.
-	return statmon.New(statmon.Config{
-		SampleEvery:    s.opt.StatmonSampleEvery,
-		DriftThreshold: s.opt.StatmonDriftThreshold,
+	return statmon.NewSettings(statmon.Config{
+		SampleEvery:    opt.StatmonSampleEvery,
+		DriftThreshold: opt.StatmonDriftThreshold,
 		MaxScale:       streamChunk,
-	}, ref)
+	})
 }
+
+// newMonitor builds a session's statistical monitor scored against ref, or
+// returns nil when statmon is disabled.
+func (s *Server) newMonitor(ref *statmon.Reference) *statmon.Monitor {
+	if s.monSet == nil {
+		return nil
+	}
+	return s.monSet.New(ref)
+}
+
+// emptyRef is the reference of sessions whose moments are not exposed
+// analytically (trunks): the monitor tracks observed statistics for the
+// stats endpoint but never scores drift.
+var emptyRef = statmon.NewReference(statmon.Ref{})
+
+// streamRefKey is what a stream session's reference reads beyond the
+// spec's shared state.
+type streamRefKey struct{ h, asymH float64 }
 
 // streamRef is the reference of a plain stream session: everything the
 // spec claims analytically — the target Hurst parameter, the ACF-implied
 // asymptotic H, the model-implied autocorrelation of served traffic, and
 // the marginal quantile function. Engines without analytic references
 // (GOP, TES autocorrelation) get a partially-filled Ref; statmon switches
-// the corresponding checks off.
-func streamRef(spec *modelspec.Spec, stream *modelspec.Stream) statmon.Ref {
-	ref := statmon.Ref{
-		H:          spec.TargetHurst(),
-		AsymH:      spec.ACF.AsymptoticHurst(),
-		ImpliedACF: stream.ImpliedACF(monitorACFLen),
-		Mean:       stream.MeanRate(),
+// the corresponding checks off. The compiled reference is built once per
+// spec and claimed H (modelspec.Stream.Memo); nil when statmon is
+// disabled.
+func (s *Server) streamRef(spec *modelspec.Spec, stream *modelspec.Stream) *statmon.Reference {
+	if s.monSet == nil {
+		return nil
 	}
-	if marg := stream.Marginal(); marg != nil {
-		ref.Quantile = marg.Quantile
-	}
-	return ref
+	key := streamRefKey{spec.TargetHurst(), spec.ACF.AsymptoticHurst()}
+	return stream.Memo(key, func() any {
+		ref := statmon.Ref{
+			H:          key.h,
+			AsymH:      key.asymH,
+			ImpliedACF: stream.ImpliedACF(monitorACFLen),
+			Mean:       stream.MeanRate(),
+		}
+		if marg := stream.Marginal(); marg != nil {
+			ref.Quantile = marg.Quantile
+		}
+		return statmon.NewReference(ref)
+	}).(*statmon.Reference)
 }
 
 // ---------------------------------------------------------------------------

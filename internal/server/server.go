@@ -44,6 +44,7 @@ import (
 
 	"vbrsim/internal/obs"
 	"vbrsim/internal/par"
+	"vbrsim/internal/statmon"
 )
 
 // Options configures the service.
@@ -183,6 +184,8 @@ type Server struct {
 	access  *obs.Tracer   // nil unless Options.AccessLog is set
 	reqSeq  atomic.Uint64 // request-id sequence
 
+	monSet *statmon.Settings // shared by every session's monitor; nil: statmon off
+
 	rollMu sync.Mutex // statmon fleet-rollup cache (see statmonRollup)
 	rollAt time.Time
 	roll   statmonFleet
@@ -201,6 +204,7 @@ func New(opt Options) *Server {
 		metrics: newMetrics(reg),
 		adm:     newAdmission(opt.MaxCost, opt.MaxSessions),
 		started: time.Now(),
+		monSet:  monitorSettings(&opt),
 	}
 	if opt.AccessLog != nil {
 		s.access = obs.NewStreamTracer(opt.AccessLog)

@@ -229,12 +229,12 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, *statmon.Reference, error) {
 		stream, err := spec.OpenCtx(ctx, s.opt.Tol)
 		if err != nil {
-			return nil, statmon.Ref{}, err
+			return nil, nil, err
 		}
-		return stream, streamRef(spec, stream), nil
+		return stream, s.streamRef(spec, stream), nil
 	})
 }
 
@@ -249,15 +249,14 @@ func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, statmon.Ref, error) {
+	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, *statmon.Reference, error) {
 		tr, err := trunk.Open(ctx, spec, trunk.Options{Tol: s.opt.Tol})
 		if err != nil {
-			return nil, statmon.Ref{}, err
+			return nil, nil, err
 		}
 		// The aggregate's moments are not exposed analytically, so the
-		// reference is empty: the monitor tracks observed statistics for
-		// the stats endpoint but never scores drift.
-		return tr, statmon.Ref{}, nil
+		// reference is empty.
+		return tr, emptyRef, nil
 	})
 }
 
@@ -273,7 +272,7 @@ func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
 // when it fails the reservation is returned, so a rejected or failed
 // create never leaks accounting.
 func (s *Server) create(w http.ResponseWriter, r *http.Request, cost float64, seed *uint64, name string,
-	open func(context.Context) (frameStream, statmon.Ref, error)) {
+	open func(context.Context) (frameStream, *statmon.Reference, error)) {
 	if *seed == 0 {
 		*seed = deriveSeed(s.opt.Seed, s.seedOrdinal.Add(1))
 	}

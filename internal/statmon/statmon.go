@@ -22,6 +22,7 @@ package statmon
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"vbrsim/internal/hurst"
 	"vbrsim/internal/stats"
@@ -168,82 +169,115 @@ type Snapshot struct {
 	Drifting    bool          `json:"drifting"`
 }
 
-// Monitor holds the streaming state for one session. All methods are safe
-// for concurrent use; the lock is taken once per observed chunk, never per
-// frame, and Observe never blocks on anything a metrics scrape holds.
-type Monitor struct {
-	mu  sync.Mutex
-	cfg Config
-	ref Ref
-
-	tick    int   // chunks since last observation (sampling)
-	nextPos int64 // expected position of the next contiguous chunk
-	run     int   // contiguous frames since the last gap
-
-	hasOff  bool
-	off     float64 // centering offset: first observed frame
-	n       float64 // frames observed
-	sum     float64 // Σ (x - off)
-	sum2    float64 // Σ (x - off)²
-	agg     hurst.AggVar
-	ring    []float64 // last ringMask+1 centered values (power-of-two size)
-	ringMsk int
-	w       int // ring write index
-	maxLag  int
-	lagProd []float64 // Σ d_t · d_{t-lag}, per configured lag
-	lagN    []float64
-	sketch  []p2  // one per configured quantile
-	stride  uint8 // marginal subsampling phase
-
-	refACF    []float64 // implied ρ at cfg.Lags (nil → ACF check off)
-	refLogVar []float64 // model-implied log10 var(X^(m)) per dyadic level
-	refScale  float64   // marginal normalization: ref q(0.9) - q(0.1)
+// Settings is a Config with its defaults filled in and the sizes a
+// monitor derives from it. It is immutable and shared by every Monitor
+// built from it: the server builds one and hands it to each session.
+type Settings struct {
+	cfg     Config
+	maxLag  int // largest configured lag
+	ringLen int // lag ring length: maxLag rounded up to a power of two
 }
 
-// New builds a Monitor for a session promising ref under cfg.
-func New(cfg Config, ref Ref) *Monitor {
-	cfg = cfg.withDefaults()
-	m := &Monitor{cfg: cfg, ref: ref}
-	for _, lag := range cfg.Lags {
-		if lag > m.maxLag {
-			m.maxLag = lag
-		}
+// NewSettings fills cfg's defaults and derives the per-monitor sizes.
+func NewSettings(cfg Config) *Settings {
+	st := &Settings{cfg: cfg.withDefaults()}
+	for _, lag := range st.cfg.Lags {
+		st.maxLag = max(st.maxLag, lag)
 	}
-	ringLen := 1
-	for ringLen < m.maxLag {
-		ringLen <<= 1
+	st.ringLen = 1
+	for st.ringLen < st.maxLag {
+		st.ringLen <<= 1
 	}
-	m.ring = make([]float64, ringLen)
-	m.ringMsk = ringLen - 1
-	m.lagProd = make([]float64, len(cfg.Lags))
-	m.lagN = make([]float64, len(cfg.Lags))
-	m.sketch = make([]p2, len(cfg.Quantiles))
-	for i, p := range cfg.Quantiles {
-		m.sketch[i] = newP2(p)
-	}
-	if len(ref.ImpliedACF) > m.maxLag {
-		m.refACF = make([]float64, len(cfg.Lags))
-		for i, lag := range cfg.Lags {
-			m.refACF[i] = ref.ImpliedACF[lag]
-		}
-	}
-	if len(ref.ImpliedACF) >= cfg.MaxScale {
-		m.refLogVar = impliedLogVar(ref.ImpliedACF, cfg.MaxScale)
-	}
+	return st
+}
+
+// Reference is a Ref compiled for scoring: the implied ACF it was built
+// from, the model-implied variance-time curve derived from it, and the
+// marginal normalization. It is immutable and independent of any Config,
+// so one Reference serves every monitor of a spec; the server keeps it in
+// the spec's shared state (modelspec.Stream.Memo).
+type Reference struct {
+	h, asymH float64
+	quantile func(p float64) float64
+	rho      []float64 // implied ρ(0..len-1); shared, never modified
+	logVar   []float64 // model-implied log10 var(X^(m)) per dyadic level m <= len(rho)
+	scale    float64   // marginal normalization: ref q(0.9) - q(0.1); 0 switches the check off
+}
+
+// NewReference compiles ref. It keeps ref.ImpliedACF without copying it,
+// so the caller must not modify that slice afterwards.
+func NewReference(ref Ref) *Reference {
+	r := &Reference{h: ref.H, asymH: ref.AsymH, quantile: ref.Quantile, rho: ref.ImpliedACF}
+	r.logVar = impliedLogVar(ref.ImpliedACF)
 	if ref.Quantile != nil {
 		if s := ref.Quantile(0.9) - ref.Quantile(0.1); s > 0 {
-			m.refScale = s
+			r.scale = s
 		}
 	}
-	return m
+	return r
+}
+
+// Monitor holds the streaming state for one session: only the accumulators
+// it owns, with everything immutable behind two shared pointers. All
+// methods are safe for concurrent use. A chunk that sampling skips costs
+// one atomic add; an observed chunk takes the lock once, never per frame,
+// and Observe never blocks on anything a metrics scrape holds.
+type Monitor struct {
+	set *Settings
+	ref *Reference
+
+	offered atomic.Uint64 // chunks offered to Observe (sampling)
+
+	mu      sync.Mutex
+	nextPos int64 // expected position of the next contiguous chunk
+	run     int   // contiguous frames since the last gap
+	w       int   // ring write index
+
+	hasOff bool
+	stride uint8   // marginal subsampling phase
+	off    float64 // centering offset: first observed frame
+	n      float64 // frames observed
+	sum    float64 // Σ (x - off)
+	sum2   float64 // Σ (x - off)²
+	agg    hurst.AggVar
+	// acc is one allocation: the lag ring of the last ringLen centered
+	// values, then Σ d_t · d_{t-lag} per configured lag, then the product
+	// count per lag.
+	acc    []float64
+	sketch []p2 // one per configured quantile
+}
+
+// New builds a Monitor for a session promising ref under cfg. A caller
+// that opens many monitors shares one NewSettings and one NewReference
+// per spec through Settings.New instead.
+func New(cfg Config, ref Ref) *Monitor { return NewSettings(cfg).New(NewReference(ref)) }
+
+// New builds a Monitor that scores against ref under these settings.
+func (st *Settings) New(ref *Reference) *Monitor {
+	return &Monitor{
+		set:    st,
+		ref:    ref,
+		agg:    hurst.NewAggVar(st.cfg.MaxScale),
+		acc:    make([]float64, st.ringLen+2*len(st.cfg.Lags)),
+		sketch: make([]p2, len(st.cfg.Quantiles)),
+	}
+}
+
+// lagState splits acc into the ring and the per-lag product sums and
+// counts.
+func (m *Monitor) lagState() (ring, lagProd, lagN []float64) {
+	r, l := m.set.ringLen, len(m.set.cfg.Lags)
+	return m.acc[:r], m.acc[r : r+l], m.acc[r+l : r+2*l]
 }
 
 // impliedLogVar maps an implied ACF to log10 var(X^(m)) on the dyadic grid
-// (unit marginal variance — the regression slope is scale-invariant):
-// var(X^(m)) = (1/m)[1 + 2 Σ_{k=1}^{m-1} (1 - k/m) ρ(k)].
-func impliedLogVar(rho []float64, maxScale int) []float64 {
+// m <= len(rho) (unit marginal variance — the regression slope is
+// scale-invariant): var(X^(m)) = (1/m)[1 + 2 Σ_{k=1}^{m-1} (1 - k/m) ρ(k)].
+// Each level depends only on ρ below m, so a fit capped at MaxScale reads
+// the same values a grid stopped at MaxScale would hold.
+func impliedLogVar(rho []float64) []float64 {
 	var out []float64
-	for m := 1; m <= maxScale && m <= len(rho); m <<= 1 {
+	for m := 1; m <= len(rho); m <<= 1 {
 		s := 1.0
 		for k := 1; k < m; k++ {
 			s += 2 * (1 - float64(k)/float64(m)) * rho[k]
@@ -261,21 +295,17 @@ func impliedLogVar(rho []float64, maxScale int) []float64 {
 
 // Observe feeds one contiguous chunk of served frames starting at absolute
 // stream position pos. It reports whether the chunk was actually observed
-// (sampling may skip it). Observe is allocation-free and does not retain
-// frames.
+// (sampling may skip it, without taking the lock). Observe is
+// allocation-free and does not retain frames.
 func (m *Monitor) Observe(pos int64, frames []float64) bool {
 	if m == nil || len(frames) == 0 {
 		return false
 	}
-	m.mu.Lock()
-	if m.cfg.SampleEvery > 1 {
-		m.tick++
-		if m.tick < m.cfg.SampleEvery {
-			m.mu.Unlock()
-			return false
-		}
-		m.tick = 0
+	cfg := &m.set.cfg
+	if every := uint64(cfg.SampleEvery); every > 1 && m.offered.Add(1)%every != 0 {
+		return false
 	}
+	m.mu.Lock()
 	if pos != m.nextPos {
 		// Gap (seek, skipped chunk, interleaved request): the ring no
 		// longer holds the preceding lags.
@@ -286,15 +316,16 @@ func (m *Monitor) Observe(pos int64, frames []float64) bool {
 		m.off = frames[0]
 		m.hasOff = true
 	}
-	lags, ring, msk := m.cfg.Lags, m.ring, m.ringMsk
-	lagProd, lagN := m.lagProd, m.lagN
+	lags, qs, maxLag := cfg.Lags, cfg.Quantiles, m.set.maxLag
+	ring, lagProd, lagN := m.lagState()
+	msk := len(ring) - 1
 	for _, x := range frames {
 		d := x - m.off
 		m.n++
 		m.sum += d
 		m.sum2 += d * d
 		m.agg.Push(x)
-		if m.run >= m.maxLag {
+		if m.run >= maxLag {
 			// Steady state: every lag has history; no run checks.
 			for j, lag := range lags {
 				lagProd[j] += d * ring[(m.w-lag)&msk]
@@ -313,17 +344,17 @@ func (m *Monitor) Observe(pos int64, frames []float64) bool {
 		if m.stride++; m.stride >= marginalStride {
 			m.stride = 0
 			for i := range m.sketch {
-				m.sketch[i].push(x)
+				m.sketch[i].push(x, qs[i])
 			}
 		}
 	}
-	if m.run >= m.maxLag {
+	if m.run >= maxLag {
 		// Fold the steady-state product counts in one shot per chunk: each
 		// lag gained one product per frame once past warmup. Splitting the
 		// chunk at the warmup boundary keeps the counts exact.
 		steady := float64(len(frames))
-		if over := m.run - len(frames); over < m.maxLag {
-			steady = float64(m.run - m.maxLag)
+		if over := m.run - len(frames); over < maxLag {
+			steady = float64(m.run - maxLag)
 		}
 		for j := range lagN {
 			lagN[j] += steady
@@ -349,36 +380,38 @@ func (m *Monitor) Snapshot() Snapshot {
 	m.snapshotHurst(&s)
 	m.snapshotACF(&s)
 	m.snapshotMarginal(&s)
-	if s.Frames >= uint64(m.cfg.MinFrames) {
-		if s.HurstValid && m.cfg.HurstTol > 0 {
-			s.Drift = math.Max(s.Drift, s.HurstErr/m.cfg.HurstTol)
+	if cfg := &m.set.cfg; s.Frames >= uint64(cfg.MinFrames) {
+		if s.HurstValid && cfg.HurstTol > 0 {
+			s.Drift = math.Max(s.Drift, s.HurstErr/cfg.HurstTol)
 		}
 		if len(s.ACF) > 0 {
-			s.Drift = math.Max(s.Drift, s.ACFErr/m.cfg.ACFTol)
+			s.Drift = math.Max(s.Drift, s.ACFErr/cfg.ACFTol)
 		}
-		if m.refScale > 0 {
-			s.Drift = math.Max(s.Drift, s.MarginalErr/m.cfg.MarginTol)
+		if m.ref.scale > 0 {
+			s.Drift = math.Max(s.Drift, s.MarginalErr/cfg.MarginTol)
 		}
-		s.Drifting = s.Drift >= m.cfg.DriftThreshold
+		s.Drifting = s.Drift >= cfg.DriftThreshold
 	}
 	return s
 }
 
 func (m *Monitor) snapshotHurst(s *Snapshot) {
-	est, err := m.agg.Estimate(m.cfg.MinScale, m.cfg.MaxScale, m.cfg.MinBlocks)
+	cfg, ref := &m.set.cfg, m.ref
+	est, err := m.agg.Estimate(cfg.MinScale, cfg.MaxScale, cfg.MinBlocks)
 	if err != nil {
 		return
 	}
 	s.Hurst = est.H
 	// The check needs a reference: the model-implied variance-time curve
 	// fit over exactly the scales the live estimate used (so finite-scale
-	// bias cancels), shifted by the claimed-vs-implied asymptotic gap.
-	if m.refLogVar == nil {
+	// bias cancels), shifted by the claimed-vs-implied asymptotic gap. An
+	// implied ACF shorter than MaxScale switches it off.
+	if len(ref.rho) < cfg.MaxScale {
 		return
 	}
-	refH := m.ref.H
+	refH := ref.h
 	if refH == 0 {
-		refH = m.ref.AsymH
+		refH = ref.asymH
 	}
 	if refH == 0 {
 		return
@@ -386,18 +419,18 @@ func (m *Monitor) snapshotHurst(s *Snapshot) {
 	var rx, ry []float64
 	for _, lx := range est.X {
 		level := int(math.Round(math.Log2(math.Round(math.Pow(10, lx)))))
-		if level < 0 || level >= len(m.refLogVar) {
+		if level < 0 || level >= len(ref.logVar) {
 			return // live fit used a scale the ref curve cannot cover
 		}
 		rx = append(rx, lx)
-		ry = append(ry, m.refLogVar[level])
+		ry = append(ry, ref.logVar[level])
 	}
 	slope, _, _, err2 := stats.LinearFit(rx, ry)
 	if err2 != nil {
 		return
 	}
 	modelFiniteH := 1 + slope/2
-	asym := m.ref.AsymH
+	asym := ref.asymH
 	if asym == 0 {
 		asym = refH
 	}
@@ -415,32 +448,36 @@ func (m *Monitor) snapshotACF(s *Snapshot) {
 	if variance <= 0 {
 		return
 	}
-	for j, lag := range m.cfg.Lags {
-		if m.lagN[j] < minLagCount {
+	// The implied ACF scores the lags only when it covers all of them.
+	refRho := m.ref.rho
+	if len(refRho) <= m.set.maxLag {
+		refRho = nil
+	}
+	_, lagProd, lagN := m.lagState()
+	for j, lag := range m.set.cfg.Lags {
+		if lagN[j] < minLagCount {
 			continue
 		}
-		rho := (m.lagProd[j]/m.lagN[j] - mean*mean) / variance
-		lc := LagCorr{Lag: lag, Observed: rho, N: m.lagN[j]}
-		if m.refACF != nil {
-			lc.Ref = m.refACF[j]
+		rho := (lagProd[j]/lagN[j] - mean*mean) / variance
+		lc := LagCorr{Lag: lag, Observed: rho, N: lagN[j]}
+		if refRho != nil {
+			lc.Ref = refRho[lag]
 			if e := math.Abs(rho - lc.Ref); e > s.ACFErr {
 				s.ACFErr = e
 			}
 		}
 		s.ACF = append(s.ACF, lc)
 	}
-	if m.refACF == nil {
-		s.ACFErr = 0
-	}
 }
 
 func (m *Monitor) snapshotMarginal(s *Snapshot) {
-	for i, p := range m.cfg.Quantiles {
-		qe := QuantileEst{P: p, Observed: m.sketch[i].quantile()}
-		if m.ref.Quantile != nil {
-			qe.Ref = m.ref.Quantile(p)
-			if m.refScale > 0 && m.sketch[i].cnt >= 5 {
-				if e := math.Abs(qe.Observed-qe.Ref) / m.refScale; e > s.MarginalErr {
+	ref := m.ref
+	for i, p := range m.set.cfg.Quantiles {
+		qe := QuantileEst{P: p, Observed: m.sketch[i].quantile(p)}
+		if ref.quantile != nil {
+			qe.Ref = ref.quantile(p)
+			if ref.scale > 0 && m.sketch[i].cnt >= 5 {
+				if e := math.Abs(qe.Observed-qe.Ref) / ref.scale; e > s.MarginalErr {
 					s.MarginalErr = e
 				}
 			}

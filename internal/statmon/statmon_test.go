@@ -3,6 +3,8 @@ package statmon
 import (
 	"math"
 	"sort"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"vbrsim/internal/acf"
@@ -49,25 +51,25 @@ func TestP2MatchesExactQuantiles(t *testing.T) {
 		x[i] = math.Exp(0.5 * r.Norm()) // skewed, like frame sizes
 	}
 	for _, p := range []float64{0.1, 0.5, 0.9, 0.99} {
-		s := newP2(p)
+		var s p2
 		for _, v := range x {
-			s.push(v)
+			s.push(v, p)
 		}
 		sorted := append([]float64(nil), x...)
 		sort.Float64s(sorted)
 		exact := sorted[int(p*float64(n))]
-		if rel := math.Abs(s.quantile()-exact) / exact; rel > 0.02 {
-			t.Errorf("p=%v: P² = %v, exact = %v (rel err %v)", p, s.quantile(), exact, rel)
+		if rel := math.Abs(s.quantile(p)-exact) / exact; rel > 0.02 {
+			t.Errorf("p=%v: P² = %v, exact = %v (rel err %v)", p, s.quantile(p), exact, rel)
 		}
 	}
 }
 
 func TestP2TinySample(t *testing.T) {
-	s := newP2(0.5)
+	var s p2
 	for _, v := range []float64{3, 1, 2} {
-		s.push(v)
+		s.push(v, 0.5)
 	}
-	if q := s.quantile(); q != 2 {
+	if q := s.quantile(0.5); q != 2 {
 		t.Errorf("median of {1,2,3} = %v, want 2", q)
 	}
 }
@@ -186,6 +188,63 @@ func TestObserveZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Observe allocated %v per chunk, want 0", allocs)
+	}
+}
+
+// TestObserveConcurrentSnapshot offers chunks from several goroutines while
+// others take snapshots; run under -race it checks that a skipped chunk
+// touches only the offered counter, which races with nothing. Exactly one
+// in SampleEvery offered chunks is observed, whatever the interleaving.
+func TestObserveConcurrentSnapshot(t *testing.T) {
+	const (
+		writers = 4
+		chunks  = 200
+		chunk   = 64
+		every   = 4
+	)
+	x := goldenFrames(writers*chunks*chunk, 3)
+	m := New(Config{SampleEvery: every}, goldenRef(0.8, 1025))
+	var observed atomic.Int64
+	var writersWG, readersWG sync.WaitGroup
+	done := make(chan struct{})
+	for range 2 {
+		readersWG.Add(1)
+		go func() {
+			defer readersWG.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if f := m.Snapshot().Frames; f%chunk != 0 {
+					t.Errorf("snapshot saw %d frames, not whole chunks", f)
+					return
+				}
+			}
+		}()
+	}
+	for w := range writers {
+		writersWG.Add(1)
+		go func() {
+			defer writersWG.Done()
+			for c := range chunks {
+				pos := (w*chunks + c) * chunk
+				if m.Observe(int64(pos), x[pos:pos+chunk]) {
+					observed.Add(1)
+				}
+			}
+		}()
+	}
+	writersWG.Wait()
+	close(done)
+	readersWG.Wait()
+	want := int64(writers * chunks / every)
+	if got := observed.Load(); got != want {
+		t.Fatalf("%d chunks observed, want %d", got, want)
+	}
+	if got := m.Snapshot().Frames; got != uint64(want*chunk) {
+		t.Fatalf("snapshot counts %d frames, want %d", got, want*chunk)
 	}
 }
 

@@ -87,10 +87,14 @@ echo "== perf gates"
 # Retained memory: TestTruncatedOpenRetainedBytes (exact HeapAlloc delta
 #   of one cold paper-spec open: < 1 MiB truncated, < 4 MiB block) guards
 #   that a served spec keeps its plan's O(p^2) prefix, not the 64 MiB plan,
-#   and that the cache holds truncations, not plans; it skips under -race.
+#   and that the cache holds truncations, not plans, and that a TES open
+#   stays < 1 KiB. TestSessionRetainedBytes (exact HeapAlloc delta per TES
+#   session created through ServeHTTP with statmon on, at open and after one
+#   observed read: < 3 KiB) guards the compact statmon monitor. Both skip
+#   under -race.
 # The three timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server
