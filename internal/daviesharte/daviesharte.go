@@ -67,7 +67,11 @@ func NewPlan(model acf.Model, n int, opt Options) (*Plan, error) {
 	for j := half + 1; j < m; j++ {
 		c[j] = c[m-j]
 	}
-	if err := fft.Forward(c); err != nil {
+	// The eigenvalue transform runs once per plan, so it takes the
+	// reference recurrence (bit-identical to fft.Forward): Forward would
+	// leave m-point twiddle tables in the process-wide cache that no path
+	// generated from this plan reads.
+	if err := fft.ForwardReference(c); err != nil {
 		return nil, err
 	}
 	sqrtLambda := make([]float64, m)

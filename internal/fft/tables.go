@@ -220,9 +220,11 @@ func tablesFor(n int) *tables {
 }
 
 // ForwardReference computes the forward DFT with the original on-the-fly
-// twiddle recurrence. It is retained as the ablation baseline for the twiddle
-// cache benchmarks and as an independent oracle: the tabled Forward must stay
-// bit-identical to it.
+// twiddle recurrence. It is bit-identical to the tabled Forward, which must
+// stay so, and caches nothing: it serves one-off transforms whose tables no
+// later call would read (daviesharte.NewPlan's eigenvalue transform), the
+// ablation baseline of the twiddle cache benchmarks and the independent
+// oracle Forward is tested against.
 func ForwardReference(x []complex128) error { return referenceTransform(x, false) }
 
 // InverseReference is the reference counterpart of Inverse; see

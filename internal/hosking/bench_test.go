@@ -1,6 +1,7 @@
 package hosking
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -184,4 +185,34 @@ func BenchmarkPlanCacheWarm(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkTruncateCold compares the two ways to the truncation a served
+// spec runs on at the served plan length (4096): scan is the two-pass build
+// a truncation cache miss runs, plan the full plan and its truncation.
+// Read the ratio, and B/op: the plan side allocates the 64 MiB triangle.
+//
+//	go test ./internal/hosking -run '^$' -bench TruncateCold -benchmem
+func BenchmarkTruncateCold(b *testing.B) {
+	const n = 4096
+	b.Run("scan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := scanTruncate(context.Background(), benchModel, n, TruncateOptions{}.withDefaults()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("plan", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p, err := NewPlan(benchModel, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.truncate(TruncateOptions{}.withDefaults()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -3,9 +3,9 @@
 // keep asking for the same (ACF model, length) plans, or for the same
 // truncation of one. An entry holds either an exact Plan (offline users:
 // experiments, importance sampling, transform.Measure, conformance's exact
-// backends) or a Truncated (the served path): a truncation miss builds the
-// plan outside the cache, truncates it and lets the plan go, so the cache
-// retains the O(p^2) prefix the truncation reads rather than the O(n^2)
+// backends) or a Truncated (the served path): a truncation miss scans for
+// the order over two rolling rows and rebuilds only the O(p^2) prefix the
+// truncation reads, so neither the cache nor the build holds the O(n^2)
 // plan.
 //
 // The cache is keyed by a fingerprint of the *evaluated* autocorrelation
@@ -30,6 +30,7 @@ import (
 	"math"
 	"reflect"
 	"sync"
+	"time"
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/obs"
@@ -62,9 +63,13 @@ type CacheStats struct {
 	// verified content match), including requests that waited for an
 	// in-flight build of the same entry.
 	Hits uint64
-	// Misses counts requests that had to run the O(n^2) recursion: cold
-	// keys and fingerprint-collision fallthroughs (which build uncached).
+	// Misses counts requests that had to build their entry — an exact
+	// plan, or a truncation by order scan and prefix rebuild: cold keys and
+	// fingerprint-collision fallthroughs (which build uncached).
 	Misses uint64
+	// BuildTime is the wall time spent in the builds Misses counts,
+	// canceled and failed ones included.
+	BuildTime time.Duration
 	// Evictions counts ready entries dropped by the LRU cap.
 	Evictions uint64
 	// SingleflightWaits counts requests that blocked on another caller's
@@ -221,7 +226,7 @@ func (c *PlanCache) GetCtx(ctx context.Context, model acf.Model, n int) (*Plan, 
 // memoized on it through Derived is built once. It shares GetCtx's
 // identity path, verification, single-flight, cancel-retry, counters and
 // LRU cap, but the entry holds only the truncation and the n-lag table that
-// verifies hits; the plan a miss builds is garbage once truncated.
+// verifies hits; a miss builds no plan (see scanTruncate).
 // Truncation errors are not cached, like failed plan builds.
 func (c *PlanCache) TruncatedCtx(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (*Truncated, error) {
 	v, err := c.acquire(ctx, model, n, opt.withDefaults())
@@ -285,17 +290,18 @@ func waitEntry(ctx context.Context, e *cacheEntry) (waited bool, err error) {
 	}
 }
 
-// buildEntry runs the Durbin–Levinson recursion for (model, n) and, for a
-// truncation key, truncates the plan and drops it.
+// buildEntry builds the entry for (model, n, opt): the exact plan for the
+// zero options, else the truncation through scanTruncate, which never
+// holds the O(n^2) plan.
 func buildEntry(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
-	plan, err := NewPlanOptsCtx(ctx, model, n, PlanOptions{})
-	if err != nil {
-		return nil, err
-	}
 	if opt == (TruncateOptions{}) {
-		return plan, nil
+		p, err := NewPlanOptsCtx(ctx, model, n, PlanOptions{})
+		if err != nil {
+			return nil, err
+		}
+		return p, nil
 	}
-	t, err := plan.truncate(opt)
+	t, err := scanTruncate(ctx, model, n, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -367,7 +373,7 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int, opt Truncat
 		// Fingerprint collision: different table, same hash. Build directly
 		// without caching rather than evicting the legitimate occupant.
 		c.noteMiss()
-		return buildEntry(ctx, tableModel(table), n, opt)
+		return c.build(ctx, tableModel(table), n, opt)
 	}
 	e := &cacheEntry{ready: make(chan struct{}), used: c.tick}
 	c.entries[key] = e
@@ -378,7 +384,7 @@ func (c *PlanCache) get(ctx context.Context, model acf.Model, n int, opt Truncat
 	c.evictLocked()
 	c.mu.Unlock()
 
-	v, err := buildEntry(ctx, tableModel(table), n, opt)
+	v, err := c.build(ctx, tableModel(table), n, opt)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err != nil {
@@ -416,6 +422,17 @@ func (c *PlanCache) noteMiss() {
 	c.mu.Lock()
 	c.stats.Misses++
 	c.mu.Unlock()
+}
+
+// build runs buildEntry for a counted miss and adds its wall time to
+// BuildTime.
+func (c *PlanCache) build(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (any, error) {
+	start := time.Now()
+	v, err := buildEntry(ctx, model, n, opt)
+	c.mu.Lock()
+	c.stats.BuildTime += time.Since(start)
+	c.mu.Unlock()
+	return v, err
 }
 
 // maxIdentEncoding caps a canonical encoding kept as an identity key. A

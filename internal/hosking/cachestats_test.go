@@ -10,8 +10,9 @@ import (
 	"vbrsim/internal/acf"
 )
 
-// Stats: a cold Get is a miss, repeats are hits (identity or content), and
-// the LRU cap produces evictions.
+// Stats: a cold Get is a miss that takes build time, repeats are hits
+// (identity or content) that take none, and the LRU cap produces
+// evictions.
 func TestPlanCacheStats(t *testing.T) {
 	c := NewPlanCache(2)
 	model := acf.FGN{H: 0.8}
@@ -19,9 +20,10 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := c.Stats()
-	if s.Misses != 1 || s.Hits != 0 {
-		t.Fatalf("after cold get: %+v, want 1 miss, 0 hits", s)
+	if s.Misses != 1 || s.Hits != 0 || s.BuildTime <= 0 {
+		t.Fatalf("after cold get: %+v, want 1 miss, 0 hits and some build time", s)
 	}
+	built := s.BuildTime
 	// Identity hit.
 	if _, err := c.Get(model, 200); err != nil {
 		t.Fatal(err)
@@ -31,8 +33,8 @@ func TestPlanCacheStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = c.Stats()
-	if s.Hits != 2 || s.Misses != 1 {
-		t.Fatalf("after warm gets: %+v, want 2 hits, 1 miss", s)
+	if s.Hits != 2 || s.Misses != 1 || s.BuildTime != built {
+		t.Fatalf("after warm gets: %+v, want 2 hits, 1 miss and build time still %v", s, built)
 	}
 	// Overflow the cap: two more distinct plans evict the oldest.
 	c.Get(acf.FGN{H: 0.7}, 200)

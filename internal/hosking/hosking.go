@@ -21,6 +21,16 @@
 // m_k = sum_j phi_{k,j} x_{k-j} becomes a unit-stride dot product of row
 // with the history x[0..k-1]. One allocation replaces n ragged rows and
 // both operands of the hot dot product walk memory in the same direction.
+//
+// Construction: one row kernel, durbinLevinson, runs the recursion for
+// every build, with two storage modes. An exact plan stores every row in
+// its triangle. A truncation (truncate.go) needs only the partial
+// correlations to place its order and the O(p^2) prefix it keeps, so the
+// plan cache builds it by scanning over two rolling rows and then
+// rebuilding the first p+1 steps — the same bits as truncating the full
+// plan, without the O(n^2) triangle. The kernel writes row k, sums it and
+// forms the next row's d_{k+1} in one descending pass, each reduction in
+// its historical term order.
 package hosking
 
 import (
@@ -126,64 +136,91 @@ const ctxCheckRows = 64
 // finishes, so the row loop polls ctx every ctxCheckRows rows and returns
 // ctx.Err() when the context is done.
 func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions) (*Plan, error) {
+	r, err := planTable(model, n)
+	if err != nil {
+		return nil, err
+	}
+	p := &Plan{
+		n:      n,
+		r:      r,
+		flat:   make([]float64, n*(n-1)/2),
+		v:      make([]float64, n),
+		phiSum: make([]float64, n),
+	}
+	p.v[0] = 1
+	err = durbinLevinson(ctx, r, opt.Workers,
+		func(k int) (prev, row []float64) {
+			return p.flat[rowOffset(k-1) : rowOffset(k-1)+k-1], p.flat[rowOffset(k) : rowOffset(k)+k]
+		},
+		func(k int, _, sum, v float64) { p.phiSum[k], p.v[k] = sum, v })
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// planTable validates a plan length and evaluates the model's
+// autocorrelation table at lags 0..n-1.
+func planTable(model acf.Model, n int) ([]float64, error) {
 	if n <= 0 {
 		return nil, errors.New("hosking: non-positive length")
 	}
 	if n > MaxPlanLen {
 		return nil, fmt.Errorf("hosking: plan length %d exceeds limit %d (use the Truncated fast path for long horizons)", n, MaxPlanLen)
 	}
-	p := &Plan{
-		n:      n,
-		r:      make([]float64, n),
-		flat:   make([]float64, n*(n-1)/2),
-		v:      make([]float64, n),
-		phiSum: make([]float64, n),
+	r := make([]float64, n)
+	for k := range r {
+		r[k] = model.At(k)
 	}
-	for k := range p.r {
-		p.r[k] = model.At(k)
-	}
-	if p.r[0] != 1 {
+	if r[0] != 1 {
 		return nil, errors.New("hosking: model.At(0) must be 1")
 	}
-	p.v[0] = 1
-	if n == 1 {
-		return p, nil
-	}
+	return r, nil
+}
 
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// durbinLevinson is the row kernel of every plan and truncation build: it
+// runs the Durbin–Levinson recursion over the autocorrelation table r
+// (r[0] = 1) for rows k = 1..len(r)-1. rows(k) returns the storage of row
+// k-1, which the kernel reads, and of row k, which it writes, both reversed
+// (row[i] = phi_{k,k-i}); the exact plan hands out consecutive rows of its
+// triangle, the truncation's order scan two rolling rows. done(k, phiKK,
+// sum, v) receives row k's partial correlation phi_{k,k}, its row sum and
+// the conditional variance v_k. workers is PlanOptions.Workers. The
+// recursion polls ctx every ctxCheckRows rows.
+func durbinLevinson(ctx context.Context, r []float64, workers int,
+	rows func(k int) (prev, row []float64), done func(k int, phiKK, sum, v float64)) error {
+	n := len(r)
+	if n == 1 {
+		return nil
 	}
 	var pool *planPool
-	if workers > 1 && n-1 > reduceChunk {
-		pool = newPlanPool(workers)
-		defer pool.close()
-	}
 	var partials []float64
 	if n-1 > reduceChunk {
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		if workers > 1 {
+			pool = newPlanPool(workers)
+			defer pool.close()
+		}
 		partials = make([]float64, (n+reduceChunk-1)/reduceChunk)
 	}
 
+	v := 1.0  // v_{k-1}
+	d := r[1] // d_k; a serial row k-1 computes d_k along with itself
 	for k := 1; k < n; k++ {
 		if k%ctxCheckRows == 0 {
 			if err := ctx.Err(); err != nil {
-				return nil, err
+				return err
 			}
 		}
-		prev := p.flat[rowOffset(k-1) : rowOffset(k-1)+k-1] // reversed row k-1
-		row := p.flat[rowOffset(k) : rowOffset(k)+k]        // reversed row k
-		m := k - 1                                          // inner-loop length
+		prev, row := rows(k)
+		m := k - 1 // inner-loop length
 
 		// d_k = r(k) - sum_{j=1}^{k-1} phi_{k-1,j} r(k-j). In the reversed
 		// layout the historical term order (j ascending) is i descending
 		// with term prev[i]*r[i+1].
-		var d float64
-		if m <= reduceChunk {
-			d = p.r[k]
-			for i := m - 1; i >= 0; i-- {
-				d -= prev[i] * p.r[i+1]
-			}
-		} else {
+		if m > reduceChunk {
 			chunks := (m + reduceChunk - 1) / reduceChunk
 			runChunks(pool, chunks, func(c int) {
 				lo, hi := c*reduceChunk, (c+1)*reduceChunk
@@ -192,20 +229,19 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 				}
 				var s float64
 				for i := hi - 1; i >= lo; i-- {
-					s += prev[i] * p.r[i+1]
+					s += prev[i] * r[i+1]
 				}
 				partials[c] = s
 			})
-			d = p.r[k]
+			d = r[k]
 			for c := chunks - 1; c >= 0; c-- {
 				d -= partials[c]
 			}
 		}
-		phiKK := d / p.v[k-1]
+		phiKK := d / v
 		if math.Abs(phiKK) >= 1 || math.IsNaN(phiKK) {
-			return nil, fmt.Errorf("%w: partial correlation %v at lag %d", ErrNotPositiveDefinite, phiKK, k)
+			return fmt.Errorf("%w: partial correlation %v at lag %d", ErrNotPositiveDefinite, phiKK, k)
 		}
-		row[0] = phiKK // phi_{k,k}
 
 		// Row update phi_{k,j} = phi_{k-1,j} - phi_{k,k} phi_{k-1,k-j}:
 		// reversed, row[i] = prev[i-1] - phiKK*prev[k-1-i] for i = 1..k-1.
@@ -213,13 +249,13 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 		// accumulated in the historical order (reversed-descending).
 		var s float64
 		if m <= reduceChunk {
-			for i := 1; i < k; i++ {
-				row[i] = prev[i-1] - phiKK*prev[k-1-i]
+			var next float64
+			if k+1 < n {
+				next = r[k+1]
 			}
-			for i := k - 1; i >= 0; i-- {
-				s += row[i]
-			}
+			s, d = serialRow(prev, row, r, phiKK, next)
 		} else {
+			row[0] = phiKK // phi_{k,k}
 			chunks := (k + reduceChunk - 1) / reduceChunk
 			runChunks(pool, chunks, func(c int) {
 				lo, hi := c*reduceChunk, (c+1)*reduceChunk
@@ -243,10 +279,32 @@ func NewPlanOptsCtx(ctx context.Context, model acf.Model, n int, opt PlanOptions
 				s += partials[c]
 			}
 		}
-		p.phiSum[k] = s
-		p.v[k] = p.v[k-1] * (1 - phiKK*phiKK)
+		v *= 1 - phiKK*phiKK
+		done(k, phiKK, s, v)
 	}
-	return p, nil
+	return nil
+}
+
+// serialRow writes row k = len(row) from prev (row k-1) and phi_{k,k}, and
+// returns the row sum and d_{k+1} = r(k+1) - sum_{j=1}^{k} phi_{k,j}
+// r(k+1-j), where next is r(k+1) (0 for the last row, whose d is unused).
+// One descending pass produces all three: each reduction adds its terms in
+// the order of its own historical loop, so the bits are those of three
+// separate loops, but the two dependency chains run side by side.
+func serialRow(prev, row, r []float64, phiKK, next float64) (sum, d float64) {
+	k := len(row)
+	prev, r = prev[:k-1], r[1:k+1] // r[i] is now r(i+1)
+	d = next
+	for i := k - 1; i >= 1; i-- {
+		x := prev[i-1] - phiKK*prev[len(prev)-i]
+		row[i] = x
+		sum += x
+		d -= x * r[i]
+	}
+	row[0] = phiKK
+	sum += phiKK
+	d -= phiKK * r[0]
+	return sum, d
 }
 
 // planPool is a fixed set of workers that execute chunk bodies for the

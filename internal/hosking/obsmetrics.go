@@ -11,8 +11,11 @@ func (c *PlanCache) RegisterMetrics(r *obs.Registry) {
 		"Plan cache requests served from an existing entry.",
 		func() float64 { return float64(c.Stats().Hits) })
 	r.CounterFunc("vbrsim_plan_cache_misses_total",
-		"Plan cache requests that ran the full Durbin-Levinson build.",
+		"Plan cache requests that built their entry: an exact plan, or a truncation by order scan and prefix rebuild, without the plan.",
 		func() float64 { return float64(c.Stats().Misses) })
+	r.CounterFunc("vbrsim_plan_cache_build_seconds_total",
+		"Wall time spent building plan cache misses.",
+		func() float64 { return c.Stats().BuildTime.Seconds() })
 	r.CounterFunc("vbrsim_plan_cache_evictions_total",
 		"Ready plans and truncations dropped by the LRU cap.",
 		func() float64 { return float64(c.Stats().Evictions) })

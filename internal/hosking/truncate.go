@@ -18,10 +18,12 @@
 package hosking
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 
+	"vbrsim/internal/acf"
 	"vbrsim/internal/rng"
 )
 
@@ -58,7 +60,9 @@ type TruncateOptions struct {
 //
 // It keeps only the O(p^2) prefix of the plan it reads, not the plan: a
 // paper-model truncation (p = 361 of a 4096-step plan) holds about 0.5 MiB
-// where the plan holds 64 MiB.
+// where the plan holds 64 MiB. Plan.Truncate copies that prefix out of an
+// existing plan; the plan cache builds it without the plan (scanTruncate),
+// bit for bit the same.
 type Truncated struct {
 	head   *Plan // the plan's first p+1 steps: warm-up rows, v, phiSum and r up to lag p
 	order  int
@@ -106,34 +110,74 @@ func (p *Plan) Truncate(opt TruncateOptions) (*Truncated, error) {
 	return v.(*Truncated), nil
 }
 
-// truncate builds the truncation for defaulted options.
+// truncate builds the truncation for defaulted options from the plan's
+// own tables.
 func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
+	return selectTruncation(p.r, p.PartialCorr,
+		func(m int) (*Plan, error) { return p.prefix(m), nil }, opt)
+}
+
+// scanTruncate builds the truncation of the length-n plan of model under
+// defaulted options without building that plan: bit for bit what
+// NewPlan(model, n) followed by Truncate(opt) returns, errors included.
+// Pass 1 runs the Durbin–Levinson kernel over two rolling rows and keeps
+// only the partial correlations, which place the order; pass 2 rebuilds
+// the first order+1 steps with the same kernel. Durbin–Levinson is
+// prefix-consistent, so that short plan is the long plan's prefix. Memory
+// is O(n + p^2) where the plan would take O(n^2).
+func scanTruncate(ctx context.Context, model acf.Model, n int, opt TruncateOptions) (*Truncated, error) {
+	r, err := planTable(model, n)
+	if err != nil {
+		return nil, err
+	}
+	pc := make([]float64, n) // pc[k] = phi_{k,k}
+	roll := [2][]float64{make([]float64, n-1), make([]float64, n-1)}
+	err = durbinLevinson(ctx, r, 0,
+		func(k int) (prev, row []float64) { return roll[(k-1)&1][:k-1], roll[k&1][:k] },
+		func(k int, phiKK, _, _ float64) { pc[k] = phiKK })
+	if err != nil {
+		return nil, err
+	}
+	return selectTruncation(r, func(k int) float64 { return pc[k] },
+		func(m int) (*Plan, error) { return NewPlanOptsCtx(ctx, tableModel(r[:m]), m, PlanOptions{}) }, opt)
+}
+
+// selectTruncation places the order for defaulted options from the
+// partial correlations partialCorr(k) of the plan over the autocorrelation
+// table r, and freezes row p of head(p+1), a plan of the first p+1 steps
+// that owns its tables.
+func selectTruncation(r []float64, partialCorr func(k int) float64, head func(m int) (*Plan, error), opt TruncateOptions) (*Truncated, error) {
+	n := len(r)
 	tol, run := opt.Tol, opt.Run
-	maxOrder := p.n - 1 - run
+	maxOrder := n - 1 - run
 	if maxOrder < 1 {
-		return nil, fmt.Errorf("%w: plan length %d too short for run %d", ErrNoTruncation, p.n, run)
+		return nil, fmt.Errorf("%w: plan length %d too short for run %d", ErrNoTruncation, n, run)
 	}
 	// Last lag whose partial correlation is still significant.
 	order := 1
-	for k := 1; k < p.n; k++ {
-		if math.Abs(p.PartialCorr(k)) >= tol {
+	for k := 1; k < n; k++ {
+		if math.Abs(partialCorr(k)) >= tol {
 			order = k
 		}
 	}
 	if order > maxOrder {
-		return nil, fmt.Errorf("%w: partial correlations above %g up to lag %d of %d", ErrNoTruncation, tol, order, p.n)
+		return nil, fmt.Errorf("%w: partial correlations above %g up to lag %d of %d", ErrNoTruncation, tol, order, n)
 	}
 	for {
-		maxErr := p.arExtensionError(order)
+		h, err := head(order + 1)
+		if err != nil {
+			return nil, err
+		}
+		row := h.row(order)
+		maxErr := arExtensionError(row, r)
 		if opt.ACFTol <= 0 || maxErr <= opt.ACFTol {
-			head := p.prefix(order + 1)
 			t := &Truncated{
-				head:   head,
+				head:   h,
 				order:  order,
-				row:    head.row(order),
-				v:      p.v[order],
-				sqrtV:  math.Sqrt(p.v[order]),
-				phiSum: p.phiSum[order],
+				row:    row,
+				v:      h.v[order],
+				sqrtV:  math.Sqrt(h.v[order]),
+				phiSum: h.phiSum[order],
 				tol:    tol,
 				maxErr: maxErr,
 			}
@@ -147,23 +191,23 @@ func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
 	}
 }
 
-// arExtensionError extends the target autocorrelation with the AR(p)
-// Yule–Walker recursion implied by row p and returns the max absolute
-// deviation from the plan's table over lags p+1 .. n-1. Lags 0..p match
+// arExtensionError extends the autocorrelation table r with the AR(p)
+// Yule–Walker recursion implied by the reversed row p and returns the max
+// absolute deviation from r over lags p+1 .. len(r)-1. Lags 0..p match
 // exactly by construction of the Durbin–Levinson row.
-func (p *Plan) arExtensionError(order int) float64 {
-	row := p.row(order)
-	ext := make([]float64, p.n)
-	copy(ext, p.r[:order+1])
+func arExtensionError(row, r []float64) float64 {
+	order := len(row)
+	ext := make([]float64, len(r))
+	copy(ext, r[:order+1])
 	var worst float64
-	for k := order + 1; k < p.n; k++ {
+	for k := order + 1; k < len(r); k++ {
 		base := k - order
 		var s float64
 		for i := 0; i < order; i++ {
 			s += row[i] * ext[base+i]
 		}
 		ext[k] = s
-		if d := math.Abs(s - p.r[k]); d > worst {
+		if d := math.Abs(s - r[k]); d > worst {
 			worst = d
 		}
 	}

@@ -79,3 +79,47 @@ func TestPlanCacheBytesGauge(t *testing.T) {
 		t.Fatalf("after Purge the gauge reads %v B, want 0", g)
 	}
 }
+
+// TestColdOpenAllocatedBytes gates what opening one paper-spec session
+// allocates from a cold plan cache, garbage included: the exact TotalAlloc
+// delta across the open, with the FFT tables warmed by an earlier open. The
+// truncation is built by an order scan over two rolling rows plus an
+// O(p^2) rebuild of the prefix it keeps, so no open allocates the 64 MiB
+// triangle of the 4096-step plan; a burst of cold opens stays near the
+// admission budget instead of each spending 64 MiB outside it. The bounds
+// hold on any host: they count bytes, not time.
+func TestColdOpenAllocatedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts allocation counts")
+	}
+	ctx := context.Background()
+	for _, row := range []struct {
+		spec  Spec
+		limit uint64
+	}{
+		{Paper(), 2 << 20},
+		{blockSpec(1), 4 << 20},
+	} {
+		name := engineFor(row.spec.Engine).name
+		warm, err := row.spec.OpenCtx(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Close()
+		hosking.Shared.Purge()
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		st, err := row.spec.OpenCtx(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		st.Close()
+		allocated := after.TotalAlloc - before.TotalAlloc
+		if allocated >= row.limit {
+			t.Errorf("one cold %s open allocates %d B, want < %d B", name, allocated, row.limit)
+		}
+		t.Logf("one cold %s open allocates %d B", name, allocated)
+	}
+}

@@ -2,8 +2,12 @@ package rng
 
 import (
 	"math"
+	"sort"
 	"testing"
+	"time"
 )
+
+var raceEnabled bool
 
 // normPairsRef is the loop NormPairs replaces: 2·len(dst) successive Norm
 // calls, real part first.
@@ -65,6 +69,48 @@ func TestNormPairsNoAlloc(t *testing.T) {
 	dst := make([]complex128, 4096)
 	if a := testing.AllocsPerRun(10, func() { r.NormPairs(dst) }); a != 0 {
 		t.Fatalf("NormPairs allocates %.1f objects per call, want 0", a)
+	}
+}
+
+// TestNormPairsRatio gates the batched draw's speed against the Norm loop
+// it replaces (the normal draws behind every Davies-Harte spectrum): the
+// median NormPairs/Norm time over 11 interleaved pairs, each side the
+// fastest of 3 fills of 4096 pairs, must be <= 0.75. Both sides run in one
+// process, so the ratio holds on any host where absolute ns/draw does not.
+func TestNormPairsRatio(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("timing test")
+	}
+	const pairs = 11
+	batched, looped := New(1), New(1)
+	dst := make([]complex128, 4096)
+	fastest := func(fill func()) time.Duration {
+		d := time.Duration(math.MaxInt64)
+		for range 3 {
+			t0 := time.Now()
+			fill()
+			d = min(d, time.Since(t0))
+		}
+		return d
+	}
+	fillPairs := func() time.Duration { return fastest(func() { batched.NormPairs(dst) }) }
+	fillNorm := func() time.Duration { return fastest(func() { normPairsRef(looped, dst) }) }
+	fillPairs()
+	fillNorm()
+	ratios := make([]float64, pairs)
+	for p := range ratios {
+		var dp, dn time.Duration
+		if p%2 == 0 {
+			dp, dn = fillPairs(), fillNorm()
+		} else {
+			dn, dp = fillNorm(), fillPairs()
+		}
+		ratios[p] = float64(dp) / float64(dn)
+	}
+	sort.Float64s(ratios)
+	t.Logf("NormPairs/Norm time ratios (sorted): %.3f", ratios)
+	if med := ratios[pairs/2]; med > 0.75 {
+		t.Errorf("median NormPairs/Norm time ratio %.3f, want <= 0.75", med)
 	}
 }
 

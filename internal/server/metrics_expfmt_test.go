@@ -41,6 +41,7 @@ var documentedMetrics = map[string]string{
 	"vbrsim_plan_cache_evictions_total":          "counter",
 	"vbrsim_plan_cache_singleflight_waits_total": "counter",
 	"vbrsim_plan_cache_bytes":                    "gauge",
+	"vbrsim_plan_cache_build_seconds_total":      "counter",
 	"vbrsim_streamblock_refills_total":           "counter",
 	"vbrsim_streamblock_arena_bytes":             "gauge",
 	"vbrsim_streamblock_block_ns":                "histogram",

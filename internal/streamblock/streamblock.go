@@ -369,8 +369,9 @@ func (s *Stream) Fill(out []float64) {
 }
 
 // Seek positions the stream so the next sample is sample pos, in O(1):
-// at most two block refills regardless of distance or direction, bit-
-// identical to sequential playback reaching the same position.
+// at most two block refills regardless of distance or direction, one when
+// pos lies in the next block, bit-identical to sequential playback
+// reaching the same position.
 func (s *Stream) Seek(pos int) {
 	if pos < 0 {
 		pos = 0
@@ -381,7 +382,9 @@ func (s *Stream) Seek(pos int) {
 		s.off = off
 		return
 	}
-	if b > 0 {
+	// Seeking into the next block finds its history in place: hist already
+	// holds the current block's raw tail, as sequential playback would.
+	if b > 0 && b != s.block+1 {
 		// History = raw tail of the predecessor; its stitch correction never
 		// reaches the tail, so the raw path alone reproduces it.
 		s.refillRaw(b - 1)

@@ -131,6 +131,45 @@ func TestSeekBitIdentity(t *testing.T) {
 	}
 }
 
+// TestSeekNextBlockBitIdentity seeks one block ahead, which reuses the
+// history in place instead of regenerating the predecessor, from mid-block
+// and from a block's end, and checks the frames against sequential
+// playback bit for bit.
+func TestSeekNextBlockBitIdentity(t *testing.T) {
+	eng := testEngine(t, 1024)
+	b := eng.block
+	const seed = 515151
+	ref := eng.NewStream(seed)
+	defer ref.Close()
+	total := 4 * b
+	want := make([]float64, total)
+	ref.Fill(want)
+
+	s := eng.NewStream(seed)
+	defer s.Close()
+	buf := make([]float64, 64)
+	check := func(pos int) {
+		t.Helper()
+		s.Seek(pos)
+		if got := s.Pos(); got != pos {
+			t.Fatalf("Seek(%d): Pos() = %d", pos, got)
+		}
+		s.Fill(buf)
+		for i := range buf {
+			if math.Float64bits(buf[i]) != math.Float64bits(want[pos+i]) {
+				t.Fatalf("Seek(%d): frame %d differs: got %v, want %v", pos, pos+i, buf[i], want[pos+i])
+			}
+		}
+	}
+	check(7)         // block 0, mid-block
+	check(b + 9)     // next block from mid-block
+	s.Seek(2*b - 1)  // block 1's last frame
+	s.Fill(buf[:1])  // now at block 1's end
+	check(2*b + 100) // next block from the block end
+	check(3*b - 64)  // block 2 again, mid-block
+	check(3 * b)     // next block's first frame
+}
+
 // TestReseedReplays proves a reseeded arena reproduces the stream of a
 // fresh one bit-exactly (the property the conformance replication loop and
 // pooled servers rely on).

@@ -62,7 +62,7 @@ for check in trunk-determinism trunk-hurst-preservation trunk-mux-gain; do
 done
 
 echo "== perf gates"
-# Host-independent perf gates: exact allocation counts, and three timing
+# Host-independent perf gates: exact allocation counts, and four timing
 # ratios taken in one process (both sides interleaved, median of 11 pairs),
 # so they hold on any host where absolute ns/op does not. Serving speed
 # itself is gated by the benchmark/ module under the parent/change
@@ -92,12 +92,18 @@ echo "== perf gates"
 #   session created through ServeHTTP with statmon on, at open and after one
 #   observed read: < 3 KiB) guards the compact statmon monitor. Both skip
 #   under -race.
-# The three timing tests skip under -short and under -race, so no race run
+# Allocation: TestColdOpenAllocatedBytes (exact TotalAlloc delta of one cold
+#   paper-spec open with warm FFT tables: < 2 MiB truncated, < 4 MiB block)
+#   guards that a truncation miss scans for its order over two rolling rows
+#   and never allocates the 64 MiB triangle of the plan. Skips under -race.
+# NormPairs: TestNormPairsRatio (median NormPairs/Norm time of 4096 pairs
+#   <= 0.75) guards the batched normal draw behind every block refill.
+# The four timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestColdOpenAllocatedBytes|TestNormPairsRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
-    ./internal/server
+    ./internal/server ./internal/rng
 
 echo "== fuzz smoke"
 # Bounded runs of the native fuzz targets: spec decoding must never panic
@@ -184,7 +190,7 @@ for name in \
     vbrsim_par_peak_in_flight vbrsim_par_utilization \
     vbrsim_plan_cache_hits_total vbrsim_plan_cache_misses_total \
     vbrsim_plan_cache_evictions_total vbrsim_plan_cache_singleflight_waits_total \
-    vbrsim_plan_cache_bytes \
+    vbrsim_plan_cache_bytes vbrsim_plan_cache_build_seconds_total \
     vbrsim_streamblock_refills_total vbrsim_streamblock_arena_bytes \
     vbrsim_streamblock_block_ns \
     vbrsim_trunk_sessions_active vbrsim_trunk_sources_active vbrsim_trunk_fanout_ns \
