@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		reps     = fs.Int("reps", 0, "Monte-Carlo/IS replications (0 = default 1000)")
 		only     = fs.String("only", "", "comma-separated exhibit ids (default: all)")
 		fast     = fs.Bool("fast", false, "use the truncated-AR Hosking fast path (O(p) per step, unbounded horizon); same as synth -backend hosking-fast")
-		fastTol  = fs.Float64("fast-tol", 0, "fast-path partial-correlation cutoff (0 = default 1e-3)")
 		progress = fs.Bool("progress", false, "stream per-exhibit spans to stderr as NDJSON")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -62,7 +61,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		Replications: *reps,
 		Quick:        *quick,
 		FastPath:     *fast,
-		FastTol:      *fastTol,
 	})
 
 	ids := lab.IDs()

@@ -65,7 +65,6 @@ func run(args []string, stdout, stderr io.Writer) error {
 		batches     = fs.Int("batches", 0, "with -trace-driven: report a batch-means CI over this many batches")
 		sources     = fs.Int("sources", 1, "number of multiplexed sources (plain MC only when > 1)")
 		fast        = fs.Bool("fast", false, "use the truncated-AR Hosking fast path (O(p) per step, unbounded horizon); same as synth -backend hosking-fast")
-		fastTol     = fs.Float64("fast-tol", 0, "fast-path partial-correlation cutoff (0 = default 1e-3)")
 
 		progress      = fs.Bool("progress", false, "stream estimator convergence snapshots to stderr as NDJSON")
 		progressEvery = fs.Int("progress-every", 0, "replications between convergence snapshots (0 = ~32 over the run)")
@@ -127,7 +126,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		in: *in, frameType: *frameType, util: *util, bufNorm: *bufNorm,
 		horizon: *horizon, twist: *twist, reps: *reps, seed: *seed,
 		search: *search, traceDriven: *traceDriven,
-		batches: *batches, sources: *sources, fast: *fast, fastTol: *fastTol,
+		batches: *batches, sources: *sources, fast: *fast,
 		onProgress: onProgress, progressEvery: *progressEvery,
 	}, results)
 
@@ -152,7 +151,6 @@ type qsimFlags struct {
 	seed                      uint64
 	search, traceDriven, fast bool
 	batches, sources          int
-	fastTol                   float64
 	onProgress                func(obs.Convergence)
 	progressEvery             int
 }
@@ -211,24 +209,21 @@ func qsimRun(ctx context.Context, stdout io.Writer, f qsimFlags, results map[str
 	if k <= 0 {
 		k = int(10 * f.bufNorm)
 	}
-	// The fast path truncates the exact plan core derives truncations
-	// from, so one plan build serves both.
-	planLen := k
+	// The fast path takes its truncation from the shared plan cache, which
+	// builds it without the O(k^2) exact plan; the exact path needs the plan.
+	var (
+		plan  *hosking.Plan
+		trunc *hosking.Truncated
+	)
 	if f.fast {
-		planLen = core.TruncatedPlanLen(k)
-	}
-	plan, err := m.PlanCtx(ctx, planLen)
-	if err != nil {
-		return err
-	}
-	var trunc *hosking.Truncated
-	if f.fast {
-		trunc, err = plan.Truncate(hosking.TruncateOptions{Tol: f.fastTol})
+		trunc, err = core.TruncatedPlanForCtx(ctx, m.Background, k, 0)
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(stdout, "fast path: truncated AR(%d), max induced ACF error %.3g\n",
 			trunc.Order(), trunc.MaxACFError())
+	} else if plan, err = m.PlanCtx(ctx, k); err != nil {
+		return err
 	}
 
 	if f.sources > 1 {

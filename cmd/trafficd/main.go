@@ -10,6 +10,11 @@
 //	trafficd -max-sessions 256 -job-workers 2
 //	trafficd -statmon-sample 1 -access-log access.ndjson
 //
+// A session serves exactly what modelspec's Spec.Frames generates offline
+// for its spec and seed: truncated-AR sessions, trunks and jobs all take
+// their truncation from the shared plan cache at the default tolerance, so
+// no flag can make served frames differ from offline synthesis.
+//
 // On SIGINT/SIGTERM the daemon drains: /healthz flips to 503, new sessions
 // and jobs are rejected, in-flight streams and queued jobs finish (bounded
 // by -drain-timeout), then the process exits.
@@ -56,7 +61,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		jobWorkers   = fs.Int("job-workers", 0, "job worker-pool size (0 = min(GOMAXPROCS, 4))")
 		jobQueue     = fs.Int("job-queue", 64, "max queued-but-unstarted jobs (excess gets 429)")
 		seed         = fs.Uint64("seed", 1, "base seed for server-assigned session seeds")
-		tol          = fs.Float64("tol", 0, "truncated-AR partial-correlation cutoff for session plans (0 = default 1e-3)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this extra address (empty = disabled; keep it private)")
 
@@ -89,7 +93,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		JobWorkers:    *jobWorkers,
 		JobQueueDepth: *jobQueue,
 		Seed:          *seed,
-		Tol:           *tol,
 		Registry:      obs.Default,
 
 		StatmonSampleEvery:    *statmonSample,

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 
-	"vbrsim/internal/core"
 	"vbrsim/internal/daviesharte"
 	"vbrsim/internal/farima"
 	"vbrsim/internal/rng"
@@ -166,7 +165,7 @@ func (c fastBoundCheck) Run(ctx context.Context, cfg Config) Result {
 	// below.
 	bound := trunc.MaxACFError()
 	res.gate("plan_acf_error_bound", bound, "<=", 0.35)
-	res.note("truncation order %d, plan-level ACF error %.3f over the full %d-lag window", trunc.Order(), bound, core.TruncatedPlanLen(0))
+	res.note("truncation order %d, plan-level ACF error %.3f over the full 4096-lag window", trunc.Order(), bound)
 
 	bks := coreBackends()
 	// Same seeds for both backends: the paths differ (different recursion

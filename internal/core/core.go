@@ -257,28 +257,31 @@ func (m *Model) PlanCtx(ctx context.Context, n int) (*hosking.Plan, error) {
 	return hosking.CachedPlanCtx(ctx, m.Background, n)
 }
 
-// TruncatedPlanLen is the exact-plan length a truncation for paths up to
+// truncatedPlanLen is the exact-plan length a truncation for paths up to
 // length n is derived from. The truncated generator is horizon-unbounded,
 // so the exact plan only has to be long enough for the partial correlations
 // to die out (for the paper's LRD composite that takes a few hundred lags):
 // n is clamped to [truncPlanLenMin, autoHoskingLimit], and n <= 0 (an
 // unbounded stream) selects autoHoskingLimit.
-func TruncatedPlanLen(n int) int {
+func truncatedPlanLen(n int) int {
 	if n <= 0 {
 		return autoHoskingLimit
 	}
 	return min(max(n, truncPlanLenMin), autoHoskingLimit)
 }
 
-// TruncatedPlanForCtx builds the truncated-AR(p) fast view for an arbitrary
-// background ACF, sharing truncations through the process-wide cache. It is
-// the entry point the serving layer uses, where sessions are created from
-// model specs rather than fitted Models. n is a horizon hint (use 0 for
-// unbounded streaming); the exact plan length is TruncatedPlanLen(n), so
-// offline and served generation derive bit-identical truncations. The cache
-// keeps the truncation, not the plan behind it.
+// TruncatedPlanForCtx returns the truncated-AR(p) fast view for an arbitrary
+// background ACF from the process-wide plan cache. It is the one way a
+// program gets a truncation: served sessions, jobs, BackendHoskingFast and
+// the offline -fast paths all come here, so every caller of one model and
+// plan length shares one *Truncated and derives the same bits. n is a
+// horizon hint (0 for unbounded streaming) that picks the exact-plan length
+// the truncation is taken from (truncatedPlanLen). The cache keeps the
+// truncation, not the plan behind it, and a miss never builds the plan.
+// tol is the partial-correlation cutoff; every program passes 0, the
+// default 1e-3.
 func TruncatedPlanForCtx(ctx context.Context, model acf.Model, n int, tol float64) (*hosking.Truncated, error) {
-	return hosking.Shared.TruncatedCtx(ctx, model, TruncatedPlanLen(n), hosking.TruncateOptions{Tol: tol})
+	return hosking.Shared.TruncatedCtx(ctx, model, truncatedPlanLen(n), hosking.TruncateOptions{Tol: tol})
 }
 
 // Generate synthesizes n frames of foreground traffic.
@@ -303,24 +306,21 @@ func generateBackground(model acf.Model, n int, seed uint64, backend Backend) ([
 		return plan.Path(rng.New(seed), n), nil
 	}
 	if backend == BackendHoskingFast {
-		planLen := TruncatedPlanLen(n)
-		plan, err := hosking.CachedPlan(model, planLen)
-		if err != nil {
-			return nil, err
-		}
-		if tr, terr := plan.Truncate(hosking.TruncateOptions{}); terr == nil {
+		tr, err := TruncatedPlanForCtx(context.Background(), model, n, 0)
+		if err == nil {
 			return tr.Path(rng.New(seed), n), nil
 		}
-		// Tail not decayed within the plan: fall back to exact generation,
-		// which requires the plan to cover the whole path.
-		if n <= planLen {
-			return plan.Path(rng.New(seed), n), nil
+		if !errors.Is(err, hosking.ErrNoTruncation) {
+			return nil, err
 		}
-		full, err := hosking.CachedPlan(model, n)
+		// Tail not decayed within the plan: fall back to exact generation.
+		// Hosking is prefix-consistent, so this is the path the shorter
+		// plan the truncation was tried on would give.
+		plan, err := hosking.CachedPlan(model, n)
 		if err != nil {
 			return nil, err
 		}
-		return full.Path(rng.New(seed), n), nil
+		return plan.Path(rng.New(seed), n), nil
 	}
 	plan, err := daviesharte.NewPlan(model, n, daviesharte.Options{AllowApprox: true})
 	if err != nil {

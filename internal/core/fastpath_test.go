@@ -92,6 +92,25 @@ func TestGenerateBackendHoskingFast(t *testing.T) {
 	}
 }
 
+// TestGenerateFastRetainsNoPlan checks BackendHoskingFast takes its
+// truncation from the shared cache and builds no exact plan: a cold
+// 8192-frame generation leaves the cache holding the O(p^2) truncation
+// prefix, not the 64 MiB plan of 4096 steps it is derived from.
+func TestGenerateFastRetainsNoPlan(t *testing.T) {
+	tr := testTrace(t, 1<<16)
+	m, err := Fit(tr.ByType(trace.FrameI), FitOptions{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hosking.Shared.Purge()
+	if _, err := m.Generate(8192, 9, BackendHoskingFast); err != nil {
+		t.Fatal(err)
+	}
+	if got := hosking.Shared.Bytes(); got >= 2<<20 {
+		t.Fatalf("plan cache retains %d B after a fast generation, want < 2 MiB", got)
+	}
+}
+
 // TestArrivalSourceLUT checks the table-based transform fast path: with the
 // same seed, a LUT-equipped source must reproduce the exact source's
 // arrivals within the table's measured error bound.

@@ -8,12 +8,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
 	"sort"
 	"sync"
 
+	"vbrsim/internal/acf"
 	"vbrsim/internal/baseline"
 	"vbrsim/internal/core"
 	"vbrsim/internal/hosking"
@@ -87,9 +89,6 @@ type Config struct {
 	// to paper-scale horizons beyond the exact-plan limit. The truncation
 	// order and measured ACF error are recorded in the exhibit notes.
 	FastPath bool
-	// FastTol is the partial-correlation cutoff for FastPath truncation;
-	// 0 selects the hosking default (1e-3).
-	FastTol float64
 }
 
 func (c Config) withDefaults() Config {
@@ -568,53 +567,31 @@ func (l *Lab) Fig13() (*Result, error) {
 // ---------------------------------------------------------------------------
 // Queueing experiments (Section 4)
 
-// queueSetup bundles what the Section 4 experiments need.
+// queueSetup bundles what the Section 4 experiments need: the exact plan,
+// or with Config.FastPath the truncation in its place.
 type queueSetup struct {
 	model    *core.Model
 	plan     *hosking.Plan
-	fast     *hosking.Truncated // non-nil when Config.FastPath is on
+	fast     *hosking.Truncated
 	meanRate float64
 }
 
-// fastPlanLen bounds the exact-plan length backing the fast path: long
-// horizons are generated past the plan by the frozen AR row, and short
-// horizons still get a plan long enough for the truncation order to fit.
-const (
-	fastPlanLenMax = 4096
-	fastPlanLenMin = 1024
-)
-
-// newQueueSetup builds a background plan long enough for the horizon. With
-// FastPath the plan length is decoupled from the horizon (capped at
-// fastPlanLenMax) and a truncated-AR view is derived from it; the
-// Durbin-Levinson recursion is incremental, so conditional quantities below
-// the truncation order are bit-identical to the exact plan's regardless of
-// the differing plan length.
+// newQueueSetup builds a background plan long enough for the horizon, or
+// with FastPath takes the shared truncation core derives for that horizon:
+// the frozen AR row generates past any plan length, so no exact plan is
+// built.
 func (l *Lab) newQueueSetup(horizon int) (*queueSetup, error) {
 	m, err := l.IModel()
 	if err != nil {
 		return nil, err
 	}
-	planLen := horizon
+	qs := &queueSetup{model: m, meanRate: m.MeanRate()}
 	if l.cfg.FastPath {
-		if planLen < fastPlanLenMin {
-			planLen = fastPlanLenMin
-		}
-		if planLen > fastPlanLenMax {
-			planLen = fastPlanLenMax
-		}
-	}
-	plan, err := m.Plan(planLen)
-	if err != nil {
-		return nil, err
-	}
-	qs := &queueSetup{model: m, plan: plan, meanRate: m.MeanRate()}
-	if l.cfg.FastPath {
-		fast, err := plan.Truncate(hosking.TruncateOptions{Tol: l.cfg.FastTol})
-		if err != nil {
+		if qs.fast, err = core.TruncatedPlanForCtx(context.Background(), m.Background, horizon, 0); err != nil {
 			return nil, fmt.Errorf("experiments: fast path: %w", err)
 		}
-		qs.fast = fast
+	} else if qs.plan, err = m.Plan(horizon); err != nil {
+		return nil, err
 	}
 	return qs, nil
 }
@@ -850,32 +827,24 @@ func (l *Lab) Fig17() (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	variantPlanLen := qs.plan.Len() // matches the fast-path cap when active
-	srdPlan, err := hosking.CachedPlan(srdBG, variantPlanLen)
-	if err != nil {
-		return nil, err
-	}
-	fgnPlan, err := hosking.CachedPlan(fgnBG, variantPlanLen)
-	if err != nil {
-		return nil, err
-	}
-
 	variants := []struct {
 		name string
+		bg   acf.Model
 		plan *hosking.Plan
 		fast *hosking.Truncated
 	}{
-		{"SRD+LRD (unified model)", qs.plan, qs.fast},
-		{"SRD only", srdPlan, nil},
-		{"fGn background only", fgnPlan, nil},
+		{"SRD+LRD (unified model)", nil, qs.plan, qs.fast},
+		{"SRD only", srdBG, nil, nil},
+		{"fGn background only", fgnBG, nil, nil},
 	}
-	if l.cfg.FastPath {
-		for vi := 1; vi < len(variants); vi++ {
-			fast, err := variants[vi].plan.Truncate(hosking.TruncateOptions{Tol: l.cfg.FastTol})
-			if err != nil {
-				return nil, fmt.Errorf("experiments: fast path (%s): %w", variants[vi].name, err)
+	for vi := 1; vi < len(variants); vi++ {
+		v := &variants[vi]
+		if !l.cfg.FastPath {
+			if v.plan, err = hosking.CachedPlan(v.bg, maxHorizon); err != nil {
+				return nil, err
 			}
-			variants[vi].fast = fast
+		} else if v.fast, err = core.TruncatedPlanForCtx(context.Background(), v.bg, maxHorizon, 0); err != nil {
+			return nil, fmt.Errorf("experiments: fast path (%s): %w", v.name, err)
 		}
 	}
 	r := &Result{ID: "fig17", Title: "Overflow probability vs buffer size for four cases (util 0.6)"}

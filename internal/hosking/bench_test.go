@@ -210,7 +210,7 @@ func BenchmarkTruncateCold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := p.truncate(TruncateOptions{}.withDefaults()); err != nil {
+			if _, err := p.Truncate(TruncateOptions{}); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -74,8 +74,6 @@ type Plan struct {
 	flat   []float64 // reversed-row triangle: row k at flat[k*(k-1)/2:], row[i] = phi_{k,k-i}
 	v      []float64 // v[k] = conditional variance of X_k given X_0..X_{k-1}
 	phiSum []float64 // phiSum[k] = sum_j phi_{k,j}; 0 at k = 0
-
-	truncs memo // Truncate results, keyed by normalized TruncateOptions
 }
 
 // rowOffset returns the index of row k inside the flat triangle.

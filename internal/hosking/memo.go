@@ -2,17 +2,18 @@ package hosking
 
 import "sync"
 
-// memoCap bounds each memo. Keys are influenced by clients (truncation
-// tolerances, the marginals of specs sharing one ACF), so the cap is a leak
-// guard, not an LRU: on overflow the map is dropped and refilled. Values
-// already handed out stay valid for their holders.
+// memoCap bounds each memo. Keys are influenced by clients (the marginals of
+// specs sharing one ACF), so the cap is a leak guard, not an LRU: on
+// overflow the map is dropped and refilled. Values already handed out stay
+// valid for their holders.
 const memoCap = 16
 
-// memo caches values derived from the immutable object it is embedded in (a
-// Plan's truncations, a Truncated's engines and per-spec state). Because it
-// lives on that object, dropping the object — a plan-cache eviction or
+// memo caches values derived from the immutable truncation it is embedded
+// in (engines and per-spec state, through Truncated.Derived). Because it
+// lives on the truncation, dropping it — a plan-cache eviction or
 // Shared.Purge of the entry holding it — releases everything derived from
-// it: no process-wide map pins a purged plan or truncation. The zero value is ready to use.
+// it: no process-wide map pins a purged truncation. The zero value is ready
+// to use.
 type memo struct {
 	mu sync.Mutex
 	m  map[any]*memoEntry

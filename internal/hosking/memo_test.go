@@ -8,36 +8,6 @@ import (
 	"vbrsim/internal/acf"
 )
 
-// TestTruncateMemoized checks a plan hands every caller of equivalent
-// options the same truncation, and distinct options distinct ones.
-func TestTruncateMemoized(t *testing.T) {
-	plan, err := NewPlan(acf.FGN{H: 0.8}, 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, err := plan.Truncate(TruncateOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := plan.Truncate(TruncateOptions{Tol: 1e-3, Run: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Fatal("defaulted and explicit default options built separate truncations")
-	}
-	c, err := plan.Truncate(TruncateOptions{Tol: 1e-2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c == a {
-		t.Fatal("a different tolerance reused the default truncation")
-	}
-	if _, err := plan.Truncate(TruncateOptions{Tol: 1e-12}); err == nil {
-		t.Fatal("an unreachable tolerance truncated")
-	}
-}
-
 // TestDerivedBuildsOnce checks concurrent first requests of one key share a
 // single build, and a different key builds its own value.
 func TestDerivedBuildsOnce(t *testing.T) {

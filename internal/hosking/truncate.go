@@ -60,8 +60,10 @@ type TruncateOptions struct {
 //
 // It keeps only the O(p^2) prefix of the plan it reads, not the plan: a
 // paper-model truncation (p = 361 of a 4096-step plan) holds about 0.5 MiB
-// where the plan holds 64 MiB. Plan.Truncate copies that prefix out of an
-// existing plan; the plan cache builds it without the plan (scanTruncate),
+// where the plan holds 64 MiB. The plan cache (PlanCache.TruncatedCtx, and
+// core.TruncatedPlanForCtx above it) builds it without the plan
+// (scanTruncate) and hands every caller of one model the same *Truncated;
+// Plan.Truncate copies the prefix out of a plan the caller already holds,
 // bit for bit the same.
 type Truncated struct {
 	head   *Plan // the plan's first p+1 steps: warm-up rows, v, phiSum and r up to lag p
@@ -76,9 +78,9 @@ type Truncated struct {
 	derived memo // state other packages precompute from this truncation
 }
 
-// withDefaults fills the zero fields, so equivalent options share one memo
-// key on the plan and one cache key. Defaulted options are never the zero
-// value, which keys plans in the cache.
+// withDefaults fills the zero fields, so equivalent options share one cache
+// key. Defaulted options are never the zero value, which keys plans in the
+// cache.
 func (o TruncateOptions) withDefaults() TruncateOptions {
 	if o.Tol <= 0 {
 		o.Tol = 1e-3
@@ -98,23 +100,13 @@ func (o TruncateOptions) withDefaults() TruncateOptions {
 // plan); when ACFTol is set the order is then advanced until the measured
 // induced ACF error is within that bound.
 //
-// The result is memoized on the plan per (defaulted) options: every caller
-// asking one plan for the same truncation gets the same *Truncated, and with
-// it everything hung off it through Derived.
+// Each call builds a new *Truncated from a plan the caller already holds.
+// Programs that want one shared truncation per model, and the state hung off
+// it through Derived, take it from the plan cache (PlanCache.TruncatedCtx),
+// which builds the same bits without the plan.
 func (p *Plan) Truncate(opt TruncateOptions) (*Truncated, error) {
-	opt = opt.withDefaults()
-	v, err := p.truncs.get(opt, func() (any, error) { return p.truncate(opt) })
-	if err != nil {
-		return nil, err
-	}
-	return v.(*Truncated), nil
-}
-
-// truncate builds the truncation for defaulted options from the plan's
-// own tables.
-func (p *Plan) truncate(opt TruncateOptions) (*Truncated, error) {
 	return selectTruncation(p.r, p.PartialCorr,
-		func(m int) (*Plan, error) { return p.prefix(m), nil }, opt)
+		func(m int) (*Plan, error) { return p.prefix(m), nil }, opt.withDefaults())
 }
 
 // scanTruncate builds the truncation of the length-n plan of model under
@@ -260,11 +252,12 @@ func (t *Truncated) MaxACFError() float64 { return t.maxErr }
 // build on its first request; concurrent first requests share one build.
 // Packages that precompute immutable state from a truncation (streamblock
 // engines, modelspec's per-spec state) keep it here, so it is released with
-// the truncation — when the cache entry holding it (the served truncation,
-// or the plan an offline truncation is memoized on) is evicted or purged —
-// rather than pinned by a process-wide map. key must be comparable; give it
-// an unexported type so packages cannot collide. At most a small fixed number
-// of keys is kept per truncation; past that the memo starts over.
+// the truncation — when the cache entry holding it is evicted or purged —
+// rather than pinned by a process-wide map. A truncation from Plan.Truncate
+// is the caller's own and shares its Derived state with no one. key must be
+// comparable; give it an unexported type so packages cannot collide. At most
+// a small fixed number of keys is kept per truncation; past that the memo
+// starts over.
 func (t *Truncated) Derived(key any, build func() (any, error)) (any, error) {
 	return t.derived.get(key, build)
 }

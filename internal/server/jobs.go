@@ -44,8 +44,6 @@ type JobRequest struct {
 	Replications int `json:"replications,omitempty"`
 	// Seed drives the replication sources.
 	Seed uint64 `json:"seed,omitempty"`
-	// Tol is the fast-path truncation tolerance (0 = default).
-	Tol float64 `json:"tol,omitempty"`
 }
 
 // OverflowResult is queue.Result with JSON-safe fields: NormVar is omitted
@@ -270,7 +268,7 @@ func runQsim(ctx context.Context, req JobRequest, mt *metrics) (any, error) {
 	if reps <= 0 {
 		reps = 1000
 	}
-	trunc, err := core.TruncatedPlanForCtx(ctx, model, horizon, req.Tol)
+	trunc, err := core.TruncatedPlanForCtx(ctx, model, horizon, 0)
 	if err != nil {
 		return nil, err
 	}

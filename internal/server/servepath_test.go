@@ -274,13 +274,51 @@ func TestSessionIDOrder(t *testing.T) {
 
 // TestJobRejectsUnknownFields checks POST /v1/jobs decodes strictly, like
 // the other POST endpoints: a misspelled field is a 400, not a silently
-// defaulted job.
+// defaulted job, and so is "tol": jobs truncate at the default tolerance,
+// like every served session.
 func TestJobRejectsUnknownFields(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
-	resp := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"kind": "qsim-mc", "buffer": 5, "replicatons": 10})
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("misspelled job field: HTTP %d, want 400", resp.StatusCode)
+	for _, body := range []map[string]any{
+		{"kind": "qsim-mc", "buffer": 5, "replicatons": 10},
+		{"kind": "qsim-mc", "buffer": 5, "tol": 1e-2},
+	} {
+		resp := postJSON(t, ts.URL+"/v1/jobs", body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("job body %v: HTTP %d, want 400", body, resp.StatusCode)
+		}
+	}
+}
+
+// spaceBody is an endless JSON request body: an object opened and then
+// whitespace forever, produced as it is read. It counts the bytes read.
+type spaceBody struct{ read int64 }
+
+func (b *spaceBody) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	if b.read == 0 && len(p) > 0 {
+		p[0] = '{'
+	}
+	b.read += int64(len(p))
+	return len(p), nil
+}
+
+// TestStreamCreateBodyCap checks POST /v1/streams stops reading a body at
+// maxBodyBytes and answers 400, instead of decoding whatever a client
+// sends.
+func TestStreamCreateBodyCap(t *testing.T) {
+	s := New(Options{})
+	defer s.Close()
+	body := &spaceBody{}
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/streams", body))
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("over-cap body: HTTP %d %q, want 400 request body too large", rec.Code, rec.Body.String())
+	}
+	if body.read > maxBodyBytes+1 {
+		t.Fatalf("server read %d body bytes, cap is %d", body.read, maxBodyBytes)
 	}
 }
 

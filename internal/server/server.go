@@ -85,11 +85,6 @@ type Options struct {
 	// Seed is the base for per-session seed derivation when a spec does
 	// not pin one. Default 1.
 	Seed uint64
-	// Tol is the truncation tolerance for session fast plans (0 = default).
-	Tol float64
-	// MaxBodyBytes caps request bodies (specs can embed empirical samples,
-	// fit jobs whole traces). Default 64 MiB.
-	MaxBodyBytes int64
 	// Registry receives the server's metrics; nil creates a private
 	// registry (keeps tests isolated). trafficd passes obs.Default so the
 	// daemon and in-process CLI instrumentation share one registry.
@@ -107,6 +102,10 @@ type Options struct {
 	// through the tracer's lock, so any io.Writer works.
 	AccessLog io.Writer
 }
+
+// maxBodyBytes caps request bodies: specs can embed empirical samples, fit
+// jobs whole traces.
+const maxBodyBytes = 64 << 20
 
 // defaultCostPerSession sizes the derived admission budget: roughly one
 // paper-model truncated stream per session slot, with headroom.
@@ -142,9 +141,6 @@ func (o *Options) fill() {
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 64 << 20
 	}
 	if o.StatmonSampleEvery == 0 {
 		o.StatmonSampleEvery = 32

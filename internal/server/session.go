@@ -211,10 +211,10 @@ func deriveSeed(base, ordinal uint64) uint64 {
 // ---------------------------------------------------------------------------
 // HTTP handlers
 
-// decode reads a JSON request body into v, capped at MaxBodyBytes and
+// decode reads a JSON request body into v, capped at maxBodyBytes and
 // rejecting unknown fields. On failure it answers 400 and returns false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -224,13 +224,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	spec, err := modelspec.Parse(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	spec, err := modelspec.Parse(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, "stream"), func(ctx context.Context) (frameStream, *statmon.Reference, error) {
-		stream, err := spec.OpenCtx(ctx, s.opt.Tol)
+		stream, err := spec.OpenCtx(ctx, 0)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -244,13 +244,13 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 // derives from the trunk seed, so the response's seed alone reproduces the
 // whole aggregate offline (trunk.Open with the same spec).
 func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
-	spec, err := modelspec.ParseTrunk(http.MaxBytesReader(w, r.Body, s.opt.MaxBodyBytes))
+	spec, err := modelspec.ParseTrunk(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
 	s.create(w, r, spec.Cost(), &spec.Seed, cmp.Or(spec.Name, sessionKindTrunk), func(ctx context.Context) (frameStream, *statmon.Reference, error) {
-		tr, err := trunk.Open(ctx, spec, trunk.Options{Tol: s.opt.Tol})
+		tr, err := trunk.Open(ctx, spec, trunk.Options{})
 		if err != nil {
 			return nil, nil, err
 		}

@@ -43,9 +43,6 @@ const trunkChunk = 1024
 
 // Options tunes trunk construction.
 type Options struct {
-	// Tol is the partial-correlation truncation cutoff passed to component
-	// plan builds (0 = default).
-	Tol float64
 	// Workers bounds the fan-out parallelism (0 = GOMAXPROCS). Any value
 	// produces bit-identical frames.
 	Workers int
@@ -97,7 +94,7 @@ func Open(ctx context.Context, spec *modelspec.TrunkSpec, opt Options) (*Trunk, 
 		for rep := 0; rep < c.Count; rep++ {
 			s := c.Spec
 			s.Seed = SourceSeed(spec.Seed, len(t.comps))
-			st, err := s.OpenCtx(ctx, opt.Tol)
+			st, err := s.OpenCtx(ctx, 0)
 			if err != nil {
 				t.Close()
 				return nil, fmt.Errorf("trunk: component %d replica %d: %w", ci, rep, err)

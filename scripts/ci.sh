@@ -96,14 +96,17 @@ echo "== perf gates"
 #   paper-spec open with warm FFT tables: < 2 MiB truncated, < 4 MiB block)
 #   guards that a truncation miss scans for its order over two rolling rows
 #   and never allocates the 64 MiB triangle of the plan. Skips under -race.
+# Fast generation: TestGenerateFastRetainsNoPlan (plan-cache bytes after a
+#   cold Model.Generate(8192, BackendHoskingFast): < 2 MiB) guards that the
+#   offline fast path takes its truncation from the cache, never a 64 MiB plan.
 # NormPairs: TestNormPairsRatio (median NormPairs/Norm time of 4096 pairs
 #   <= 0.75) guards the batched normal draw behind every block refill.
 # The four timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestColdOpenAllocatedBytes|TestNormPairsRatio)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestColdOpenAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
-    ./internal/server ./internal/rng
+    ./internal/server ./internal/rng ./internal/core
 
 echo "== fuzz smoke"
 # Bounded runs of the native fuzz targets: spec decoding must never panic
@@ -128,6 +131,9 @@ echo "== trafficd smoke test"
 # Start the daemon on an ephemeral port, hit /healthz and a 100-frame
 # stream, then shut it down with SIGTERM (exercising graceful drain).
 tmpdir=$(mktemp -d)
+# Set before the trap reads it: under set -u an unset daemon_pid would turn
+# any failure before the launch into "daemon_pid: unbound variable".
+daemon_pid=
 trap 'kill "$daemon_pid" 2>/dev/null || true; rm -rf "$tmpdir"' EXIT
 go build -o "$tmpdir/trafficd" ./cmd/trafficd
 # -statmon-sample 1 observes every served chunk (so the drift smoke below
