@@ -7,13 +7,18 @@
 //
 //	trafficd                      # listen on :8080
 //	trafficd -addr 127.0.0.1:0    # ephemeral port (printed on stdout)
-//	trafficd -max-sessions 256 -job-workers 2
+//	trafficd -max-sessions 256 -idle-timeout 5m
 //	trafficd -statmon-sample 1 -access-log access.ndjson
 //
 // A session serves exactly what modelspec's Spec.Frames generates offline
 // for its spec and seed: truncated-AR sessions, trunks and jobs all take
 // their truncation from the shared plan cache at the default tolerance, so
 // no flag can make served frames differ from offline synthesis.
+//
+// Three things are fixed rather than flagged: the job pool runs
+// min(GOMAXPROCS, 4) workers over a 64-job queue, the idle evictor sweeps
+// every -idle-timeout/4, and a session drifts at statmon's default drift
+// score of 1.0.
 //
 // On SIGINT/SIGTERM the daemon drains: /healthz flips to 503, new sessions
 // and jobs are rejected, in-flight streams and queued jobs finish (bounded
@@ -38,6 +43,11 @@ import (
 	"vbrsim/internal/server"
 )
 
+// readHeaderTimeout closes a connection that has not finished sending its
+// request headers within this long, so clients that connect and never
+// finish a request cannot pile up connections.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -55,18 +65,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr         = fs.String("addr", ":8080", "listen address (host:0 picks an ephemeral port)")
 		maxSessions  = fs.Int("max-sessions", 64, "max concurrently open streaming sessions (excess gets 429)")
-		shards       = fs.Int("shards", 16, "session-registry shard count (rounded up to a power of two)")
 		maxCost      = fs.Float64("max-cost", 0, "admission-control cost budget in session units (0 = 16 per session slot)")
 		idleTimeout  = fs.Duration("idle-timeout", 0, "evict sessions untouched for this long (0 = never)")
-		jobWorkers   = fs.Int("job-workers", 0, "job worker-pool size (0 = min(GOMAXPROCS, 4))")
-		jobQueue     = fs.Int("job-queue", 64, "max queued-but-unstarted jobs (excess gets 429)")
 		seed         = fs.Uint64("seed", 1, "base seed for server-assigned session seeds")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "max time to wait for in-flight requests on shutdown")
 		debugAddr    = fs.String("debug-addr", "", "serve pprof and /debug/vars on this extra address (empty = disabled; keep it private)")
 
-		statmonSample  = fs.Int("statmon-sample", 0, "statistical monitor sampling: observe 1 in N served chunks (0 = default 32, negative = disable statmon)")
-		driftThreshold = fs.Float64("drift-threshold", 0, "statmon drift score at which a session counts as drifting (0 = default 1.0)")
-		accessLog      = fs.String("access-log", "", "append NDJSON access log (with request ids and spans) to this file (empty = disabled)")
+		statmonSample = fs.Int("statmon-sample", 0, "statistical monitor sampling: observe 1 in N served chunks (0 = default 32, negative = disable statmon)")
+		accessLog     = fs.String("access-log", "", "append NDJSON access log (with request ids and spans) to this file (empty = disabled)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -86,18 +92,14 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// in-process instrumentation (plan cache, worker pools) lands on the
 	// same /metrics page.
 	srv := server.New(server.Options{
-		MaxSessions:   *maxSessions,
-		Shards:        *shards,
-		MaxCost:       *maxCost,
-		IdleTimeout:   *idleTimeout,
-		JobWorkers:    *jobWorkers,
-		JobQueueDepth: *jobQueue,
-		Seed:          *seed,
-		Registry:      obs.Default,
+		MaxSessions: *maxSessions,
+		MaxCost:     *maxCost,
+		IdleTimeout: *idleTimeout,
+		Seed:        *seed,
+		Registry:    obs.Default,
 
-		StatmonSampleEvery:    *statmonSample,
-		StatmonDriftThreshold: *driftThreshold,
-		AccessLog:             accessW,
+		StatmonSampleEvery: *statmonSample,
+		AccessLog:          accessW,
 	})
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
@@ -126,7 +128,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		go debugServer.Serve(dln)
 	}
 
-	hs := &http.Server{Handler: srv}
+	hs := &http.Server{Handler: srv, ReadHeaderTimeout: readHeaderTimeout}
 	errCh := make(chan error, 1)
 	go func() { errCh <- hs.Serve(ln) }()
 

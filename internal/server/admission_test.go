@@ -158,7 +158,7 @@ func TestRejectedCreateLeavesNoState(t *testing.T) {
 	if got := s.adm.usedCost(); got != usedAfterFirst {
 		t.Fatalf("used cost %v after rejection, want %v", got, usedAfterFirst)
 	}
-	if got := s.reg.count.Load(); got != 1 {
+	if got := len(s.reg.list()); got != 1 {
 		t.Fatalf("registry has %d sessions after rejection, want 1", got)
 	}
 
@@ -222,7 +222,7 @@ func TestAdmissionBudgetShedsTrunks(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		createStream(t, ts.URL, tesTestSpec(uint64(10+i)))
 	}
-	if got := s.reg.count.Load(); got != 5 {
+	if got := len(s.reg.list()); got != 5 {
 		t.Fatalf("registry has %d sessions, want 5", got)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -99,6 +100,9 @@ func (j *jobState) view() Job {
 
 // jobPool runs jobs on a bounded worker pool over a bounded queue, so a
 // burst of fit requests cannot exhaust memory or starve the stream handlers.
+// The pool has min(GOMAXPROCS, maxJobWorkers) workers: jobs parallelize
+// internally, so a few workers keep the CPUs busy without starving streams.
+// Submissions beyond jobQueueDepth queued-but-unstarted jobs get 429.
 type jobPool struct {
 	s       *Server
 	queue   chan *jobState
@@ -109,10 +113,16 @@ type jobPool struct {
 	stopped bool
 }
 
-func newJobPool(s *Server, workers, depth int) *jobPool {
+const (
+	maxJobWorkers = 4
+	jobQueueDepth = 64
+)
+
+func newJobPool(s *Server) *jobPool {
+	workers := min(runtime.GOMAXPROCS(0), maxJobWorkers)
 	p := &jobPool{
 		s:     s,
-		queue: make(chan *jobState, depth),
+		queue: make(chan *jobState, jobQueueDepth),
 		byID:  make(map[string]*jobState),
 	}
 	p.wg.Add(workers)

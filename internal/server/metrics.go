@@ -24,17 +24,15 @@ type metrics struct {
 	framesStreamed  *obs.Counter
 	streamFrames    *obs.Histogram
 
-	shardSessions    *obs.GaugeVec   // shard
 	admissionRejects *obs.CounterVec // reason=cap|budget|pressure|drain
 	evictions        *obs.Counter
 	sweepSeconds     *obs.Histogram
 	sessionsSwept    *obs.Counter
 
-	httpRequests  *obs.CounterVec   // endpoint, code
-	httpErrors    *obs.CounterVec   // endpoint
-	httpSeconds   *obs.HistogramVec // endpoint
-	httpInFlight  *obs.Gauge
-	shardRequests *obs.CounterVec // shard
+	httpRequests *obs.CounterVec   // endpoint, code
+	httpErrors   *obs.CounterVec   // endpoint
+	httpSeconds  *obs.HistogramVec // endpoint
+	httpInFlight *obs.Gauge
 
 	frameEmitSeconds *obs.Histogram
 	statmonSampled   *obs.Counter
@@ -75,8 +73,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 		streamFrames: reg.Histogram("vbrsim_stream_request_frames",
 			"Frames requested per stream read.",
 			[]float64{64, 256, 1024, 4096, 16384, 65536, 262144}),
-		shardSessions: reg.GaugeVec("vbrsim_server_shard_sessions",
-			"Sessions currently registered per registry shard.", "shard"),
 		admissionRejects: reg.CounterVec("vbrsim_server_admission_rejects_total",
 			"Session creations shed by admission control, by reason (cap|budget|pressure|drain).",
 			"reason"),
@@ -98,8 +94,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			[]float64{0.0005, 0.002, 0.01, 0.05, 0.2, 1, 5}, "endpoint"),
 		httpInFlight: reg.Gauge("vbrsim_http_in_flight",
 			"HTTP requests currently being served."),
-		shardRequests: reg.CounterVec("vbrsim_server_shard_requests_total",
-			"Session lookups that landed on each registry shard.", "shard"),
 		frameEmitSeconds: reg.Histogram("vbrsim_server_frame_emit_seconds",
 			"Generate+encode+write wall time of one streamed frame chunk, plus the flush when another chunk follows (a final chunk that fits the HTTP buffer is sent after the handler returns).",
 			[]float64{1e-5, 1e-4, 5e-4, 0.002, 0.01, 0.05, 0.25, 1}),

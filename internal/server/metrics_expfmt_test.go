@@ -48,7 +48,6 @@ var documentedMetrics = map[string]string{
 	"vbrsim_trunk_sessions_active":               "gauge",
 	"vbrsim_trunk_sources_active":                "gauge",
 	"vbrsim_trunk_fanout_ns":                     "histogram",
-	"vbrsim_server_shard_sessions":               "gauge",
 	"vbrsim_server_admission_rejects_total":      "counter",
 	"vbrsim_server_evictions_total":              "counter",
 	"vbrsim_server_admission_cost_used":          "gauge",
@@ -58,7 +57,6 @@ var documentedMetrics = map[string]string{
 	"vbrsim_http_errors_total":                   "counter",
 	"vbrsim_http_request_seconds":                "histogram",
 	"vbrsim_http_in_flight":                      "gauge",
-	"vbrsim_server_shard_requests_total":         "counter",
 	"vbrsim_server_frame_emit_seconds":           "histogram",
 	"vbrsim_statmon_frames_sampled_total":        "counter",
 	"vbrsim_statmon_hurst":                       "gauge",
@@ -179,27 +177,24 @@ func TestFailedJobDurationRecorded(t *testing.T) {
 
 // TestRequestMixSeries pins the request-path series after a fixed request
 // mix: the per-route children (resolved at route registration, request
-// counters cached per status code) and the per-shard children (resolved in
-// New) must count exactly what per-request label lookups counted. The
-// values are those the label-lookup middleware produced for this mix.
+// counters cached per status code) must count exactly what per-request
+// label lookups counted. The values are those the label-lookup middleware
+// produced for this mix.
 func TestRequestMixSeries(t *testing.T) {
 	s := New(Options{})
 	defer s.Close()
 	got := requestMixSeries(t, s)
 
-	// Every route and every shard is pre-touched, so the families carry one
-	// series per endpoint (14), per endpoint and seen code (5) and per
-	// shard (16).
+	// Every route is pre-touched, so the families carry one series per
+	// endpoint (14) and per endpoint and seen code (5).
 	perFamily := map[string]int{}
 	for k := range got {
 		perFamily[k[:strings.IndexByte(k, '{')]]++
 	}
 	for name, want := range map[string]int{
-		"vbrsim_http_requests_total":         5,
-		"vbrsim_http_errors_total":           14,
-		"vbrsim_http_request_seconds_count":  14,
-		"vbrsim_server_shard_requests_total": 16,
-		"vbrsim_server_shard_sessions":       16,
+		"vbrsim_http_requests_total":        5,
+		"vbrsim_http_errors_total":          14,
+		"vbrsim_http_request_seconds_count": 14,
 	} {
 		if perFamily[name] != want {
 			t.Errorf("%s: %d series, want %d", name, perFamily[name], want)
@@ -214,8 +209,6 @@ func TestRequestMixSeries(t *testing.T) {
 		`vbrsim_http_requests_total{endpoint="frames",code="404"}`:        1,
 		`vbrsim_http_requests_total{endpoint="stream_create",code="201"}`: 2,
 		`vbrsim_http_requests_total{endpoint="stream_delete",code="204"}`: 1,
-		`vbrsim_server_shard_requests_total{shard="9"}`:                   2,
-		`vbrsim_server_shard_sessions{shard="9"}`:                         1,
 	}
 	for k, v := range got {
 		if v != want[k] {
@@ -267,7 +260,6 @@ func requestMixSeries(t *testing.T, s *Server) map[string]float64 {
 	got := map[string]float64{}
 	for _, name := range []string{
 		"vbrsim_http_requests_total", "vbrsim_http_errors_total", "vbrsim_http_request_seconds",
-		"vbrsim_server_shard_requests_total", "vbrsim_server_shard_sessions",
 	} {
 		for _, smp := range fams[name].Samples {
 			if strings.HasSuffix(smp.Name, "_bucket") || strings.HasSuffix(smp.Name, "_sum") {

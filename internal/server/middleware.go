@@ -41,8 +41,7 @@ type codeCounter struct {
 
 // newRouteMetrics resolves endpoint's children. Resolving them also
 // pre-touches the per-endpoint series, so the exposition shows the full
-// route table (zero-valued endpoints included) from the first scrape, like
-// the shard gauges.
+// route table (zero-valued endpoints included) from the first scrape.
 func (s *Server) newRouteMetrics(endpoint string) *routeMetrics {
 	return &routeMetrics{
 		endpoint: endpoint,

@@ -17,15 +17,15 @@ const monitorACFLen = streamChunk + 1
 
 // monitorSettings is the statmon configuration every session of the
 // server shares, or nil when statmon is disabled (StatmonSampleEvery < 0).
-// Zero config fields fall through to statmon's documented defaults.
+// Zero config fields fall through to statmon's documented defaults; in
+// particular a session drifts at statmon's default drift score of 1.0.
 func monitorSettings(opt *Options) *statmon.Settings {
 	if opt.StatmonSampleEvery < 0 {
 		return nil
 	}
 	return statmon.NewSettings(statmon.Config{
-		SampleEvery:    opt.StatmonSampleEvery,
-		DriftThreshold: opt.StatmonDriftThreshold,
-		MaxScale:       streamChunk,
+		SampleEvery: opt.StatmonSampleEvery,
+		MaxScale:    streamChunk,
 	})
 }
 
@@ -65,7 +65,6 @@ func (s *Server) streamRef(spec *modelspec.Spec, stream *modelspec.Stream) *stat
 			H:          key.h,
 			AsymH:      key.asymH,
 			ImpliedACF: stream.ImpliedACF(monitorACFLen),
-			Mean:       stream.MeanRate(),
 		}
 		if marg := stream.Marginal(); marg != nil {
 			ref.Quantile = marg.Quantile

@@ -8,6 +8,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -182,8 +183,8 @@ func TestStepIncludeFramesTapsPerChunk(t *testing.T) {
 		step(a.ID, true)
 		step(b.ID, false)
 	}
-	sa, _ := s.getSession(a.ID)
-	sb, _ := s.getSession(b.ID)
+	sa, _ := s.reg.get(a.ID)
+	sb, _ := s.reg.get(b.ID)
 	snapA, snapB := sa.mon.Snapshot(), sb.mon.Snapshot()
 	if snapA.Frames == 0 {
 		t.Fatal("no frames observed; the test no longer exercises sampling")
@@ -320,6 +321,37 @@ func TestStreamCreateBodyCap(t *testing.T) {
 	if body.read > maxBodyBytes+1 {
 		t.Fatalf("server read %d body bytes, cap is %d", body.read, maxBodyBytes)
 	}
+}
+
+// TestDeclaredOverCapBodyAllocatedBytes gates what one POST /v1/streams
+// that declares a Content-Length above maxBodyBytes allocates, garbage
+// included: the exact TotalAlloc delta across the request. The body is
+// refused before a byte of it is read, so the 400 costs a few KiB. Reading
+// such a body up to the cap would allocate about 256 MiB per request: the
+// JSON decoder buffers what it reads.
+func TestDeclaredOverCapBodyAllocatedBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's shadow memory distorts allocation counts")
+	}
+	s := New(Options{})
+	defer s.Close()
+	body := &spaceBody{}
+	req := httptest.NewRequest("POST", "/v1/streams", body)
+	req.ContentLength = maxBodyBytes + 1
+	rec := httptest.NewRecorder()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s.ServeHTTP(rec, req)
+	runtime.ReadMemStats(&after)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "too large") {
+		t.Fatalf("declared over-cap body: HTTP %d %q, want 400 request body too large", rec.Code, rec.Body.String())
+	}
+	const limit = 1 << 20
+	allocated := after.TotalAlloc - before.TotalAlloc
+	if allocated >= limit {
+		t.Errorf("one declared over-cap create allocates %d B, want < %d B", allocated, limit)
+	}
+	t.Logf("one declared over-cap create allocates %d B and reads %d body bytes", allocated, body.read)
 }
 
 // scrapeServerP99 reads the server's request-latency histogram off its own

@@ -37,7 +37,6 @@ import (
 	"io"
 	"net/http"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,10 +51,6 @@ type Options struct {
 	// MaxSessions caps concurrently open streaming sessions; creations
 	// beyond it get 429. Default 64.
 	MaxSessions int
-	// Shards is the session-registry shard count, rounded up to a power of
-	// two. Each shard has its own lock and map, so concurrent requests for
-	// different sessions contend only 1/Shards of the time. Default 16.
-	Shards int
 	// MaxCost is the admission-control budget in session cost units (see
 	// modelspec.Spec.Cost). 0 derives a budget from MaxSessions generous
 	// enough that cost never binds before the session cap for typical
@@ -63,15 +58,10 @@ type Options struct {
 	// the primary limit (trunk-heavy workloads).
 	MaxCost float64
 	// IdleTimeout evicts sessions untouched for this long (LRU-style: a
-	// frames/step/seek/info request refreshes the clock). 0 disables
-	// eviction.
+	// frames/step/seek/info request refreshes the clock). The evictor
+	// sweeps every IdleTimeout/4, so an idle session is gone within
+	// 1.25×IdleTimeout. 0 disables eviction.
 	IdleTimeout time.Duration
-	// EvictInterval is the evictor sweep period; 0 derives IdleTimeout/4
-	// (minimum 1s). Only meaningful with IdleTimeout > 0.
-	EvictInterval time.Duration
-	// JobWorkers is the job worker-pool size. Default GOMAXPROCS, capped
-	// at 4 so jobs (which parallelize internally) cannot starve streams.
-	JobWorkers int
 	// StepWorkers is the fan-out width of batched session stepping
 	// (POST /v1/streams/step). Default GOMAXPROCS. Sessions are assigned to
 	// workers in sticky contiguous chunks of the request's ID list, so a
@@ -79,9 +69,6 @@ type Options struct {
 	// arena warm in one worker's cache; the value is primarily a test knob
 	// (results are bit-identical for any width).
 	StepWorkers int
-	// JobQueueDepth bounds queued-but-unstarted jobs; submissions beyond
-	// it get 429. Default 64.
-	JobQueueDepth int
 	// Seed is the base for per-session seed derivation when a spec does
 	// not pin one. Default 1.
 	Seed uint64
@@ -94,9 +81,6 @@ type Options struct {
 	// 0 selects the default 32 (tap ~4% of block synthesis time, gated at
 	// 5% by statmon's TestTapShareOfFill); 1 observes all; < 0 disables.
 	StatmonSampleEvery int
-	// StatmonDriftThreshold flags a monitored session as drifting when its
-	// drift score reaches it. 0 selects statmon's default 1.0.
-	StatmonDriftThreshold float64
 	// AccessLog, when set, receives one NDJSON line per HTTP request (plus
 	// any pipeline spans opened under request contexts). Lines are written
 	// through the tracer's lock, so any io.Writer works.
@@ -115,29 +99,11 @@ func (o *Options) fill() {
 	if o.MaxSessions <= 0 {
 		o.MaxSessions = 64
 	}
-	if o.Shards <= 0 {
-		o.Shards = 16
-	}
 	if o.MaxCost <= 0 {
 		o.MaxCost = defaultCostPerSession * float64(o.MaxSessions)
 	}
-	if o.IdleTimeout > 0 && o.EvictInterval <= 0 {
-		o.EvictInterval = o.IdleTimeout / 4
-		if o.EvictInterval < time.Second {
-			o.EvictInterval = time.Second
-		}
-	}
-	if o.JobWorkers <= 0 {
-		o.JobWorkers = runtime.GOMAXPROCS(0)
-		if o.JobWorkers > 4 {
-			o.JobWorkers = 4
-		}
-	}
 	if o.StepWorkers <= 0 {
 		o.StepWorkers = runtime.GOMAXPROCS(0)
-	}
-	if o.JobQueueDepth <= 0 {
-		o.JobQueueDepth = 64
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
@@ -168,11 +134,6 @@ type Server struct {
 	nextSession atomic.Uint64
 	evictorDone chan struct{} // nil when eviction is disabled
 
-	// Per-shard children of the shard metric vecs, indexed by shard, so
-	// a lookup or registry change touches no label vec.
-	shardRequests []*obs.Counter
-	shardSessions []*obs.Gauge
-
 	seedOrdinal atomic.Uint64
 	jobs        *jobPool
 
@@ -198,6 +159,7 @@ func New(opt Options) *Server {
 		opt:     opt,
 		mux:     http.NewServeMux(),
 		metrics: newMetrics(reg),
+		reg:     newSessionRegistry(),
 		adm:     newAdmission(opt.MaxCost, opt.MaxSessions),
 		started: time.Now(),
 		monSet:  monitorSettings(&opt),
@@ -205,23 +167,12 @@ func New(opt Options) *Server {
 	if opt.AccessLog != nil {
 		s.access = obs.NewStreamTracer(opt.AccessLog)
 	}
-	s.reg = newSessionRegistry(opt.Shards, func(shard, active int) {
-		s.shardSessions[shard].Set(float64(active))
-	})
-	// Resolve every shard's children once. This also pre-touches them, so
-	// the exposition shows the full topology (all-zero shards included)
-	// from the first scrape.
-	for i := range s.reg.numShards() {
-		label := strconv.Itoa(i)
-		s.shardSessions = append(s.shardSessions, s.metrics.shardSessions.With(label))
-		s.shardRequests = append(s.shardRequests, s.metrics.shardRequests.With(label))
-	}
 	s.registerStatmonGauges(reg)
 	reg.GaugeFunc("vbrsim_server_admission_cost_used",
 		"Admission-control cost units currently reserved by open sessions.",
 		s.adm.usedCost)
 	s.baseCtx, s.cancelBase = context.WithCancel(context.Background())
-	s.jobs = newJobPool(s, opt.JobWorkers, opt.JobQueueDepth)
+	s.jobs = newJobPool(s)
 	if opt.IdleTimeout > 0 {
 		s.evictorDone = make(chan struct{})
 		go s.runEvictor()
@@ -289,11 +240,12 @@ func (s *Server) Close() {
 	s.jobs.wg.Wait()
 }
 
-// runEvictor sweeps the registry every EvictInterval, closing sessions
-// idle past IdleTimeout and returning their admission cost.
+// runEvictor sweeps the registry every IdleTimeout/4 (but no more often
+// than every millisecond), closing sessions idle past IdleTimeout and returning their
+// admission cost.
 func (s *Server) runEvictor() {
 	defer close(s.evictorDone)
-	t := time.NewTicker(s.opt.EvictInterval)
+	t := time.NewTicker(max(s.opt.IdleTimeout/4, time.Millisecond))
 	defer t.Stop()
 	for {
 		select {

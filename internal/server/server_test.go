@@ -350,7 +350,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	resp.Body.Close()
 
 	// Existing sessions still stream during drain.
-	s2, _ := s.getSession("s1")
+	s2, _ := s.reg.get("s1")
 	if s2 == nil {
 		t.Fatal("session lost on drain")
 	}
@@ -359,7 +359,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 // Submissions racing a drain must either enqueue or get errDraining /
 // errQueueFull — never panic on a send to the closed queue channel.
 func TestJobSubmitDrainRace(t *testing.T) {
-	s := New(Options{JobQueueDepth: 4})
+	s := New(Options{})
 	defer s.Close()
 	var wg sync.WaitGroup
 	start := make(chan struct{})

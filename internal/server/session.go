@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/url"
 	"slices"
@@ -131,7 +132,7 @@ func (ss *session) info() (info SessionInfo, ok bool) {
 // ---------------------------------------------------------------------------
 // Session registry (on Server)
 
-// addSession assigns the next session ID and registers ss in its shard.
+// addSession assigns the next session ID and registers ss.
 // Admission (session cap, cost budget, drain) already happened in
 // reserve; registration cannot fail.
 func (s *Server) addSession(ss *session) {
@@ -143,16 +144,6 @@ func (s *Server) addSession(ss *session) {
 	if kind, _ := ss.kind(); kind == sessionKindTrunk {
 		s.metrics.trunkSessions.Add(1)
 	}
-}
-
-func (s *Server) getSession(id string) (*session, bool) {
-	ss, ok := s.reg.get(id)
-	if ok {
-		// Per-shard lookup counter: with the sharded registry, a skewed
-		// request mix shows up here long before it shows up as contention.
-		s.shardRequests[s.reg.shardFor(id)].Inc()
-	}
-	return ss, ok
 }
 
 func (s *Server) removeSession(id string) bool {
@@ -211,10 +202,28 @@ func deriveSeed(base, ordinal uint64) uint64 {
 // ---------------------------------------------------------------------------
 // HTTP handlers
 
+// limitBody returns r's body capped at maxBodyBytes. A body that declares
+// a Content-Length above the cap is refused before a byte of it is read:
+// a JSON decoder buffers what it reads, so reading an over-cap body up to
+// the cap would cost several times the cap in allocation. limitBody then
+// answers 400 and returns nil. A body of undeclared length (chunked) is
+// cut off once the cap is read.
+func limitBody(w http.ResponseWriter, r *http.Request) io.Reader {
+	if r.ContentLength > maxBodyBytes {
+		httpError(w, http.StatusBadRequest, &http.MaxBytesError{Limit: maxBodyBytes})
+		return nil
+	}
+	return http.MaxBytesReader(w, r.Body, maxBodyBytes)
+}
+
 // decode reads a JSON request body into v, capped at maxBodyBytes and
 // rejecting unknown fields. On failure it answers 400 and returns false.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := limitBody(w, r)
+	if body == nil {
+		return false
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		httpError(w, http.StatusBadRequest, err)
@@ -224,7 +233,11 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
-	spec, err := modelspec.Parse(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := limitBody(w, r)
+	if body == nil {
+		return
+	}
+	spec, err := modelspec.Parse(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -244,7 +257,11 @@ func (s *Server) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 // derives from the trunk seed, so the response's seed alone reproduces the
 // whole aggregate offline (trunk.Open with the same spec).
 func (s *Server) handleTrunkCreate(w http.ResponseWriter, r *http.Request) {
-	spec, err := modelspec.ParseTrunk(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body := limitBody(w, r)
+	if body == nil {
+		return
+	}
+	spec, err := modelspec.ParseTrunk(body)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err)
 		return
@@ -308,7 +325,7 @@ func (s *Server) handleStreamList(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleStreamGet(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.getSession(r.PathValue("id"))
+	ss, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return
@@ -342,7 +359,7 @@ const streamChunk = 1024
 const maxSeekAhead = 1 << 24
 
 func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.getSession(r.PathValue("id"))
+	ss, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return

@@ -19,7 +19,7 @@ type SessionStats struct {
 }
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
-	ss, ok := s.getSession(r.PathValue("id"))
+	ss, ok := s.reg.get(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, errNoSession)
 		return

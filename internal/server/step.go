@@ -112,7 +112,7 @@ func (s *Server) handleStreamStep(w http.ResponseWriter, r *http.Request) {
 	}
 	sessions := make([]*session, len(req.IDs))
 	for i, id := range req.IDs {
-		ss, ok := s.getSession(id)
+		ss, ok := s.reg.get(id)
 		if !ok {
 			httpError(w, http.StatusNotFound, fmt.Errorf("%w: %s", errNoSession, id))
 			return

@@ -130,7 +130,9 @@ type Ref struct {
 	// ImpliedACF is the model-implied autocorrelation of served traffic,
 	// ρ(0..len-1) with ImpliedACF[0] == 1, long enough to cover MaxScale.
 	ImpliedACF []float64
-	// Mean is the model mean frame size.
+	// Mean is the model mean frame size. Nothing reads it: a snapshot's
+	// mean is the observed one, and no check compares it with the model.
+	// The field stays because the serving benchmark's ladder still sets it.
 	Mean float64
 	// Quantile is the model marginal quantile function.
 	Quantile func(p float64) float64
