@@ -190,6 +190,10 @@ func (c *Client) Frames(ctx context.Context, id string, from, n int) ([]float64,
 		}
 		return out, err
 	}
+	// The chunked body's final chunk may trail the trailer record: read to
+	// EOF so net/http can return the connection to the pool instead of
+	// redialing.
+	io.Copy(io.Discard, resp.Body)
 	return out, nil
 }
 

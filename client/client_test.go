@@ -193,6 +193,52 @@ func TestClientStepReusesConnection(t *testing.T) {
 	}
 }
 
+// TestClientFramesReusesConnection checks Frames reads the body to EOF
+// after the trailer record, so net/http keeps the connection alive: 50
+// sequential reads must ride a single TCP connection. The frames handler
+// flushes its trailer a moment before it returns, so the chunked body's
+// final chunk arrives after the trailer, the case that redials unless the
+// client drains.
+func TestClientFramesReusesConnection(t *testing.T) {
+	s := server.New(server.Options{})
+	late := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.ServeHTTP(w, r)
+		if strings.HasSuffix(r.URL.Path, "/frames") {
+			w.(http.Flusher).Flush()
+			time.Sleep(time.Millisecond)
+		}
+	})
+	ts := httptest.NewUnstartedServer(late)
+	var conns atomic.Int32
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	c := New(ts.URL)
+	c.HTTP = ts.Client()
+	ctx := context.Background()
+	spec := modelspec.Paper()
+	spec.Seed = 9
+	info, err := c.CreateStream(ctx, &spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50; i++ {
+		if _, err := c.Frames(ctx, info.ID, -1, 16); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := conns.Load(); got != 1 {
+		t.Fatalf("create + 50 frame reads opened %d connections, want 1", got)
+	}
+}
+
 // TestClientStatusAndSessionStats drives the observability surface end to
 // end: a monitored stream stepped past statmon's minimum sample count must
 // show up in both the per-session stats call and the fleet status rollup.

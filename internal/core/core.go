@@ -49,8 +49,10 @@ const (
 	BackendDaviesHarte
 	// BackendHoskingFast uses the truncated-AR(p) Hosking fast path: exact
 	// conditional sampling up to the truncation order, frozen O(p) AR steps
-	// beyond it, any length. Falls back to the exact plan when the partial
-	// correlations have not decayed at the plan length.
+	// beyond it, any length. When the partial correlations have not
+	// decayed at the plan length it falls back to the exact plan up to
+	// autoHoskingLimit frames and fails beyond (an error wrapping
+	// hosking.ErrNoTruncation).
 	BackendHoskingFast
 )
 
@@ -313,9 +315,14 @@ func generateBackground(model acf.Model, n int, seed uint64, backend Backend) ([
 		if !errors.Is(err, hosking.ErrNoTruncation) {
 			return nil, err
 		}
-		// Tail not decayed within the plan: fall back to exact generation.
-		// Hosking is prefix-consistent, so this is the path the shorter
-		// plan the truncation was tried on would give.
+		// Tail not decayed within the plan: fall back to exact generation,
+		// but only up to the plan length the truncation was tried on, whose
+		// plan costs what BackendAuto's would. Hosking is prefix-consistent,
+		// so this is the path that shorter plan would give. Beyond it the
+		// exact plan grows as n^2 (16 GiB at n = 65536).
+		if n > autoHoskingLimit {
+			return nil, fmt.Errorf("core: hosking-fast at %d frames: %w; use the daviesharte backend", n, err)
+		}
 		plan, err := hosking.CachedPlan(model, n)
 		if err != nil {
 			return nil, err

@@ -2,7 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
+	"strings"
 	"testing"
 
 	"vbrsim/internal/acf"
@@ -108,6 +111,34 @@ func TestGenerateFastRetainsNoPlan(t *testing.T) {
 	}
 	if got := hosking.Shared.Bytes(); got >= 2<<20 {
 		t.Fatalf("plan cache retains %d B after a fast generation, want < 2 MiB", got)
+	}
+}
+
+// TestGenerateFastRefusesLongExactFallback checks BackendHoskingFast falls
+// back to an exact plan only up to autoHoskingLimit. The GOP-stretched paper
+// background never truncates within the 4096-lag plan, so at 65536 frames
+// the fallback would build an exact plan of 16 GiB; instead generation must
+// fail fast with an error that wraps hosking.ErrNoTruncation and names the
+// daviesharte backend, having allocated little.
+func TestGenerateFastRefusesLongExactFallback(t *testing.T) {
+	base, err := acf.PaperComposite().Continuous().EnsureConvex()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := acf.Scaled{Base: base, Factor: 12}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	_, err = generateBackground(model, 1<<16, 9, BackendHoskingFast)
+	runtime.ReadMemStats(&ms)
+	if !errors.Is(err, hosking.ErrNoTruncation) {
+		t.Fatalf("err = %v, want one wrapping hosking.ErrNoTruncation", err)
+	}
+	if !strings.Contains(err.Error(), "daviesharte") {
+		t.Fatalf("error %q does not name the daviesharte backend", err)
+	}
+	if got := ms.TotalAlloc - before; got >= 64<<20 {
+		t.Fatalf("refused generation allocated %d B, want < 64 MiB", got)
 	}
 }
 

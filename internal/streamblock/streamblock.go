@@ -38,13 +38,18 @@
 // identically to sequential playback — backward seek costs the same two
 // refills as forward seek.
 //
-// A Stream owns a per-session arena (raw block, history, FFT pads, spectrum
-// scratch, RNG) allocated once at NewStream; steady-state refills perform no
+// A Stream keeps only what lives between reads: the raw block, the history
+// and the RNG, allocated once at NewStream. Everything a refill touches only
+// while it runs (the Davies-Harte spectrum scratch and the stitch's FFT pads)
+// is lent by the Engine for the length of one refill from a small free list,
+// so idle sessions hold no refill buffers; steady-state refills perform no
 // allocations.
 package streamblock
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 
 	"vbrsim/internal/acf"
@@ -87,6 +92,25 @@ type Engine struct {
 	phi     []float64    // phi[k] for k = 1..p (phi[0] unused)
 	psiSpec []complex128 // half-spectrum of psi (AR impulse response, length p+C) at size F
 	invConv float64      // 1/F: normalization of the unscaled Hermitian synthesis
+
+	// Idle refill scratch lent to streams, at most maxIdle sets: a refill
+	// holds one set only while it runs, so GOMAXPROCS sets cover every
+	// refill that can run at once. A mutex and a slice rather than a
+	// sync.Pool, whose race-build drops would allocate in steady state.
+	mu      sync.Mutex
+	idle    []*refillScratch
+	maxIdle int
+}
+
+// refillScratch is the work space of one refill, overwritten before it is
+// read: the Davies-Harte spectrum and synthesis buffers and the stitch's
+// convolution buffers.
+type refillScratch struct {
+	dh   daviesharte.Scratch
+	pad  []float64    // F: zero-padded stitch residual
+	spec []complex128 // F/2+1: residual spectrum
+	zs   []complex128 // F/2: Hermitian synthesis scratch
+	d    []float64    // p+C: convolution output (correction lives in d[p:])
 }
 
 // NewEngine builds the engine for the model's frozen AR(p) view. The model
@@ -153,7 +177,37 @@ func NewEngine(model acf.Model, trunc *hosking.Truncated, cfg Config) (*Engine, 
 		phi:     phi,
 		psiSpec: psiSpec,
 		invConv: 1 / float64(conv),
+		maxIdle: runtime.GOMAXPROCS(0),
 	}, nil
+}
+
+// borrow lends a refill scratch set, an idle one when there is one.
+func (e *Engine) borrow() *refillScratch {
+	e.mu.Lock()
+	if n := len(e.idle); n > 0 {
+		sc := e.idle[n-1]
+		e.idle[n-1] = nil
+		e.idle = e.idle[:n-1]
+		e.mu.Unlock()
+		return sc
+	}
+	e.mu.Unlock()
+	return &refillScratch{
+		pad:  make([]float64, e.conv),
+		spec: make([]complex128, e.conv/2+1),
+		zs:   make([]complex128, e.conv/2),
+		d:    make([]float64, e.order+e.horizon),
+	}
+}
+
+// giveBack returns a borrowed set to the free list, or drops it to the
+// collector when maxIdle sets are already idle.
+func (e *Engine) giveBack(sc *refillScratch) {
+	e.mu.Lock()
+	if len(e.idle) < e.maxIdle {
+		e.idle = append(e.idle, sc)
+	}
+	e.mu.Unlock()
 }
 
 // Order returns the AR overlap length p.
@@ -172,21 +226,17 @@ func blockSeed(seed uint64, block int) uint64 {
 	return z ^ (z >> 31)
 }
 
-// Stream is one unbounded background stream: the per-session arena plus the
-// read cursor. It is bound to a single goroutine.
+// Stream is one unbounded background stream: the per-session arena (raw
+// block, history, RNG) plus the read cursor. It is bound to a single
+// goroutine.
 type Stream struct {
 	e    *Engine
 	seed uint64
 
 	src rng.Source
-	dh  daviesharte.Scratch
 
-	raw  []float64    // p+B: current block's DH path; raw[p:] is the emitted view
-	hist []float64    // p: raw tail of the previous block
-	pad  []float64    // F: zero-padded stitch residual
-	spec []complex128 // F/2+1: residual spectrum
-	zs   []complex128 // F/2: Hermitian synthesis scratch
-	d    []float64    // p+C: convolution output (correction lives in d[p:])
+	raw  []float64 // p+B: current block's DH path; raw[p:] is the emitted view
+	hist []float64 // p: raw tail of the previous block
 
 	block int // index of the materialized block; -1 before the first refill
 	off   int // next emit offset within raw[p:], 0..B
@@ -200,10 +250,6 @@ func (e *Engine) NewStream(seed uint64) *Stream {
 		e:    e,
 		raw:  make([]float64, e.order+e.block),
 		hist: make([]float64, e.order),
-		pad:  make([]float64, e.conv),
-		spec: make([]complex128, e.conv/2+1),
-		zs:   make([]complex128, e.conv/2),
-		d:    make([]float64, e.order+e.horizon),
 	}
 	s.Reseed(seed)
 	observeArena(s.arenaBytes())
@@ -212,8 +258,7 @@ func (e *Engine) NewStream(seed uint64) *Stream {
 
 // arenaBytes is the arena footprint this stream contributes to the gauge.
 func (s *Stream) arenaBytes() int64 {
-	return int64(8*(len(s.raw)+len(s.hist)+len(s.pad)+len(s.d)) +
-		16*(len(s.spec)+len(s.zs)))
+	return int64(8 * (len(s.raw) + len(s.hist)))
 }
 
 // Close releases the stream's contribution to the arena-bytes gauge. The
@@ -242,20 +287,20 @@ func (s *Stream) Reseed(seed uint64) {
 
 // refillRaw regenerates block b's raw Davies-Harte path into the arena
 // without stitching (the form seek needs for the predecessor block).
-func (s *Stream) refillRaw(b int) {
+func (s *Stream) refillRaw(b int, sc *refillScratch) {
 	s.src.Reseed(blockSeed(s.seed, b))
-	s.e.plan.PathRealInto(s.raw, &s.dh, &s.src)
+	s.e.plan.PathRealInto(s.raw, &sc.dh, &s.src)
 }
 
 // refill materializes block b: raw path, stitch correction against the
 // current history (skipped for block 0), and the history handoff for the
 // next block. It assumes hist holds block b-1's raw tail when b > 0.
-func (s *Stream) refill(b int) {
+func (s *Stream) refill(b int, sc *refillScratch) {
 	start := time.Now()
 	e := s.e
-	s.refillRaw(b)
+	s.refillRaw(b, sc)
 	if b > 0 {
-		s.stitch()
+		s.stitch(sc)
 	}
 	// The raw tail is outside the corrected span (C <= B-p), so the handoff
 	// is identical whether it is read before or after the stitch — and a
@@ -269,13 +314,13 @@ func (s *Stream) refill(b int) {
 // stitch adds the AR(p)-conditional correction to raw[p:p+C]: the
 // homogeneous AR extension of diff = hist - fakePast, computed as
 // psi * (diff - phi*diff) through the packed real FFT.
-func (s *Stream) stitch() {
+func (s *Stream) stitch(sc *refillScratch) {
 	e := s.e
 	p := e.order
 	// Residual r[t] = diff[t] - sum_{k=1..t} phi[k]*diff[t-k], t < p, into
 	// the zero-padded conv buffer. diff itself is formed on the fly; the
 	// triangular phi pass is O(p^2/2), a few ns per emitted frame amortized.
-	pad := s.pad
+	pad := sc.pad
 	for t := 0; t < p; t++ {
 		pad[t] = s.hist[t] - s.raw[t]
 	}
@@ -283,7 +328,7 @@ func (s *Stream) stitch() {
 	for t := p; t < e.conv; t++ {
 		pad[t] = 0
 	}
-	if err := fft.RealForward(s.spec, pad); err != nil {
+	if err := fft.RealForward(sc.spec, pad); err != nil {
 		panic("streamblock: internal FFT error: " + err.Error())
 	}
 	// HermitianReal computes the FORWARD transform of the Hermitian
@@ -294,11 +339,11 @@ func (s *Stream) stitch() {
 	// product and conjugation run fused inside the synthesis kernel's first
 	// pass, bit-identical to materializing the conjugated product spectrum.
 	// Only the prefix p+C is unpacked; the correction is d[p..p+C).
-	if err := fft.HermitianRealConjProduct(s.d, s.spec, e.psiSpec, s.zs); err != nil {
+	if err := fft.HermitianRealConjProduct(sc.d, sc.spec, e.psiSpec, sc.zs); err != nil {
 		panic("streamblock: internal FFT error: " + err.Error())
 	}
 	out := s.raw[p : p+e.horizon]
-	corr := s.d[p:]
+	corr := sc.d[p:]
 	for j := range out {
 		out[j] += corr[j] * e.invConv
 	}
@@ -350,9 +395,11 @@ func arResidual(diff, phi []float64) {
 	}
 }
 
-// advance materializes the next block in sequence.
+// advance materializes the next block in sequence on a borrowed scratch.
 func (s *Stream) advance() {
-	s.refill(s.block + 1)
+	sc := s.e.borrow()
+	s.refill(s.block+1, sc)
+	s.e.giveBack(sc)
 }
 
 // Fill produces len(out) consecutive background samples. Steady-state calls
@@ -382,14 +429,17 @@ func (s *Stream) Seek(pos int) {
 		s.off = off
 		return
 	}
+	// One borrowed scratch serves both refills.
+	sc := e.borrow()
 	// Seeking into the next block finds its history in place: hist already
 	// holds the current block's raw tail, as sequential playback would.
 	if b > 0 && b != s.block+1 {
 		// History = raw tail of the predecessor; its stitch correction never
 		// reaches the tail, so the raw path alone reproduces it.
-		s.refillRaw(b - 1)
+		s.refillRaw(b-1, sc)
 		copy(s.hist, s.raw[e.block:])
 	}
-	s.refill(b)
+	s.refill(b, sc)
+	e.giveBack(sc)
 	s.off = off
 }

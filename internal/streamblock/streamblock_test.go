@@ -74,7 +74,9 @@ func TestStitchMatchesDirectRecursion(t *testing.T) {
 		ext[k] = m
 	}
 
-	s.stitch()
+	sc := eng.borrow()
+	s.stitch(sc)
+	eng.giveBack(sc)
 	for j := 0; j < c; j++ {
 		want := before[p+j] + ext[p+j]
 		got := s.raw[p+j]
@@ -168,6 +170,65 @@ func TestSeekNextBlockBitIdentity(t *testing.T) {
 	check(2*b + 100) // next block from the block end
 	check(3*b - 64)  // block 2 again, mid-block
 	check(3 * b)     // next block's first frame
+}
+
+// TestLentScratchBitIdentity interleaves refills of streams that share one
+// engine's lent scratch, seeking back and forth so each refill takes a set
+// the other stream's refill left dirty, and checks every frame against a
+// stream played alone on a fresh engine: no borrowed buffer is read before
+// it is overwritten.
+func TestLentScratchBitIdentity(t *testing.T) {
+	const seedA, seedB = 31, 32
+	alone := func(seed uint64, n int) []float64 {
+		s := testEngine(t, 1024).NewStream(seed)
+		defer s.Close()
+		out := make([]float64, n)
+		s.Fill(out)
+		return out
+	}
+	eng := testEngine(t, 1024)
+	b := eng.block
+	n := 4 * b
+	wantA, wantB := alone(seedA, n), alone(seedB, n)
+
+	a, c := eng.NewStream(seedA), eng.NewStream(seedB)
+	defer a.Close()
+	defer c.Close()
+	buf := make([]float64, 64)
+	check := func(s *Stream, want []float64, pos int) {
+		t.Helper()
+		s.Seek(pos)
+		s.Fill(buf)
+		for i := range buf {
+			if math.Float64bits(buf[i]) != math.Float64bits(want[pos+i]) {
+				t.Fatalf("Seek(%d): frame %d differs: got %v, want %v", pos, pos+i, buf[i], want[pos+i])
+			}
+		}
+	}
+	for _, pos := range []int{3*b + 5, b + 1, 2*b - 64, 5, 3 * b, 2*b + 9} {
+		check(a, wantA, pos)
+		check(c, wantB, pos)
+	}
+	if got := len(eng.idle); got != 1 {
+		t.Fatalf("%d idle scratch sets after serial refills, want 1", got)
+	}
+}
+
+// TestLentScratchCap checks the engine keeps at most maxIdle idle sets: a
+// burst of concurrent refills beyond that returns its extra sets to the
+// collector.
+func TestLentScratchCap(t *testing.T) {
+	eng := testEngine(t, 1024)
+	sets := make([]*refillScratch, eng.maxIdle+2)
+	for i := range sets {
+		sets[i] = eng.borrow()
+	}
+	for _, sc := range sets {
+		eng.giveBack(sc)
+	}
+	if got := len(eng.idle); got != eng.maxIdle {
+		t.Fatalf("%d idle scratch sets, want the cap %d", got, eng.maxIdle)
+	}
 }
 
 // TestReseedReplays proves a reseeded arena reproduces the stream of a

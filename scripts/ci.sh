@@ -88,12 +88,20 @@ echo "== perf gates"
 #   and that the cache holds truncations, not plans, and that a TES open
 #   stays < 1 KiB. TestSessionRetainedBytes (exact HeapAlloc delta per TES
 #   session created through ServeHTTP with statmon on, at open and after one
-#   observed read: < 3 KiB) guards the compact statmon monitor. Both skip
+#   observed read: < 3 KiB) guards the compact statmon monitor.
+#   TestBlockSessionRetainedBytes (exact HeapAlloc delta per paper-spec block
+#   session over 64 created through ServeHTTP, at open and after one read:
+#   < 96 KiB) guards that a block session keeps only its raw block and
+#   history and borrows refill scratch from its engine. All three skip
 #   under -race.
 # Allocation: TestColdOpenAllocatedBytes (exact TotalAlloc delta of one cold
 #   paper-spec open with warm FFT tables: < 2 MiB truncated, < 4 MiB block)
 #   guards that a truncation miss scans for its order over two rolling rows
-#   and never allocates the 64 MiB triangle of the plan. Skips under -race.
+#   and never allocates the 64 MiB triangle of the plan.
+#   TestChurnCycleAllocatedBytes (exact TotalAlloc per cycle through
+#   ServeHTTP of create block session, four 256-frame reads at four from
+#   positions, delete: < 192 KiB) guards that a churned session allocates no
+#   refill scratch of its own. Both skip under -race.
 # Fast generation: TestGenerateFastRetainsNoPlan (plan-cache bytes after a
 #   cold Model.Generate(8192, BackendHoskingFast): < 2 MiB) guards that the
 #   offline fast path takes its truncation from the cache, never a 64 MiB plan.
@@ -101,7 +109,7 @@ echo "== perf gates"
 #   <= 0.75) guards the batched normal draw behind every block refill.
 # The four timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestColdOpenAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server ./internal/rng ./internal/core
