@@ -9,8 +9,8 @@ import (
 
 // HistogramQuantile estimates the q-quantile of a parsed histogram family
 // from its cumulative _bucket samples — the scrape-side counterpart of
-// Histogram.Quantile, used by loadgen to cross-check the server-observed
-// request latency against its own client-side measurements.
+// Histogram.Quantile, used by the benchmark/ module (benchmark/counters.go)
+// to read latency quantiles off the difference of two scrapes.
 //
 // match restricts the estimate to bucket samples whose label block contains
 // the given substring (e.g. `endpoint="frames"`); the empty string matches

@@ -22,7 +22,6 @@ func TestRegistryScrapeRace(t *testing.T) {
 	c := reg.Counter("race_ops_total", "ops")
 	g := reg.Gauge("race_in_flight", "in flight")
 	cv := reg.CounterVec("race_requests_total", "requests", "endpoint", "code")
-	gv := reg.GaugeVec("race_shard_sessions", "sessions", "shard")
 	h := reg.Histogram("race_latency_seconds", "latency",
 		[]float64{0.001, 0.01, 0.1, 1, math.Inf(1)})
 	hv := reg.HistogramVec("race_request_seconds", "request latency",
@@ -44,7 +43,6 @@ func TestRegistryScrapeRace(t *testing.T) {
 				g.Add(1)
 				ep := endpoints[i%len(endpoints)]
 				cv.With(ep, "200").Inc()
-				gv.With("3").Set(float64(i))
 				h.Observe(float64(i%100) / 50)
 				hv.With(ep).Observe(float64(i%100) / 50)
 				_ = h.Quantile(0.99)

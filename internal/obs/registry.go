@@ -256,27 +256,6 @@ func (cv *CounterVec) samples(string) []sampleLine {
 	return out
 }
 
-// GaugeVec is a family of gauges split by a fixed label set.
-type GaugeVec struct {
-	v *vec
-}
-
-// With returns the child gauge for the given label values (in the order
-// the labels were declared), creating it on first use.
-func (gv *GaugeVec) With(values ...string) *Gauge {
-	return gv.v.with(values...).(*Gauge)
-}
-
-func (gv *GaugeVec) samples(string) []sampleLine {
-	gv.v.mu.Lock()
-	defer gv.v.mu.Unlock()
-	out := make([]sampleLine, 0, len(gv.v.children))
-	for _, k := range gv.v.sortedKeys() {
-		out = append(out, sampleLine{labels: k, value: gv.v.children[k].(*Gauge).Value()})
-	}
-	return out
-}
-
 // SummaryVec is a family of (sum, count) pairs split by a fixed label set —
 // the minimal Prometheus summary (no quantiles), enough for rate/latency
 // arithmetic on the scrape side.
@@ -457,13 +436,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	return r.register(name, help, "counter", func() collector {
 		return &CounterVec{v: newVec(labels, func() any { return &Counter{} })}
 	}).(*CounterVec)
-}
-
-// GaugeVec returns a gauge family split by the given labels.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	return r.register(name, help, "gauge", func() collector {
-		return &GaugeVec{v: newVec(labels, func() any { return &Gauge{} })}
-	}).(*GaugeVec)
 }
 
 // SummaryVec returns a (sum, count) summary family split by the given labels.

@@ -112,39 +112,6 @@ func TestVecAndHistogramExposition(t *testing.T) {
 	}
 }
 
-func TestGaugeVecExposition(t *testing.T) {
-	r := NewRegistry()
-	gv := r.GaugeVec("shard_sessions", "sessions per shard", "shard")
-	gv.With("0").Set(3)
-	gv.With("1").Add(2)
-	gv.With("1").Add(-1)
-
-	var b strings.Builder
-	if err := r.WriteText(&b); err != nil {
-		t.Fatal(err)
-	}
-	text := b.String()
-	for _, want := range []string{
-		"# TYPE shard_sessions gauge",
-		`shard_sessions{shard="0"} 3`,
-		`shard_sessions{shard="1"} 1`,
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("exposition missing %q\n%s", want, text)
-		}
-	}
-	fams, err := ParseExposition(strings.NewReader(text))
-	if err != nil {
-		t.Fatalf("ParseExposition: %v", err)
-	}
-	if probs := Lint(fams); len(probs) > 0 {
-		t.Fatalf("lint problems: %v", probs)
-	}
-	if fams["shard_sessions"].Type != "gauge" || len(fams["shard_sessions"].Samples) != 2 {
-		t.Fatalf("shard_sessions parsed wrong: %+v", fams["shard_sessions"])
-	}
-}
-
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	cv := r.CounterVec("esc_total", "h", "path")

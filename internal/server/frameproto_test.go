@@ -150,50 +150,6 @@ func TestAppendFrameRecordBounds(t *testing.T) {
 	}
 }
 
-// TestFramesBinaryMatchesNDJSON serves the same seeded session window in
-// both encodings and requires identical values: the record protocol and
-// NDJSON (whose 'g'/-1 formatting round-trips float64 exactly) are two
-// views of one deterministic sequence.
-func TestFramesBinaryMatchesNDJSON(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	const n = 300
-
-	spec := paperSpec(20260807)
-	ndInfo := createStream(t, ts.URL, spec)
-	ndjson := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=%d", ts.URL, ndInfo.ID, n))
-
-	binInfo := createStream(t, ts.URL, spec)
-	req, err := http.NewRequest("GET", fmt.Sprintf("%s/v1/streams/%s/frames?n=%d", ts.URL, binInfo.ID, n), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Accept", ContentTypeFrames)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("frames: HTTP %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeFrames {
-		t.Fatalf("Content-Type = %q, want %q", ct, ContentTypeFrames)
-	}
-	bin, err := NewFrameReader(resp.Body).ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if len(bin) != n || len(ndjson) != n {
-		t.Fatalf("got %d binary / %d ndjson frames, want %d", len(bin), len(ndjson), n)
-	}
-	for i := range bin {
-		if math.Float64bits(bin[i]) != math.Float64bits(ndjson[i]) {
-			t.Fatalf("frame %d: binary %v, ndjson %v", i, bin[i], ndjson[i])
-		}
-	}
-}
-
 // TestFramesRecordsGoldenOverHTTP pins the served body structure for a
 // known request: one record of exactly n frames (n < streamChunk, so one
 // chunk) followed by the terminator, and the format=frames query selecting

@@ -354,37 +354,38 @@ func TestDeclaredOverCapBodyAllocatedBytes(t *testing.T) {
 	t.Logf("one declared over-cap create allocates %d B and reads %d body bytes", allocated, body.read)
 }
 
-// scrapeServerP99 reads the server's request-latency histogram off its own
-// /metrics page and returns the interpolated p99 of the frames endpoint.
-func scrapeServerP99(t *testing.T, s *Server) time.Duration {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	fams, err := obs.ParseExposition(rec.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, ok := obs.HistogramQuantile(fams["vbrsim_http_request_seconds"], `endpoint="frames"`, 0.99)
-	if !ok {
-		t.Fatal("no frames-endpoint latency histogram on /metrics")
-	}
-	return time.Duration(q * float64(time.Second))
+// sleepyResponse is a ResponseWriter whose every Write takes at least
+// writeDelay, a floor under the handler's time that no scheduling can
+// lower.
+type sleepyResponse struct{ *httptest.ResponseRecorder }
+
+const writeDelay = time.Millisecond
+
+func (w sleepyResponse) Write(b []byte) (int, error) {
+	time.Sleep(writeDelay)
+	return w.ResponseRecorder.Write(b)
 }
 
-// TestServerP99AgreesWithClient cross-checks two p99 measurements of the
-// same requests: the client-side one (wall time around each ServeHTTP
-// dispatch, 4 workers reading 2 frames at a time from 8 TES sessions) and
-// the server-side one (interpolated from the
-// vbrsim_http_request_seconds{endpoint="frames"} histogram on /metrics).
-// The server estimate is quantized to its bucket grid, so both values must
-// land in the same or an adjacent bucket — any wiring error (wrong endpoint
-// label, seconds-vs-millis confusion, scraping the wrong family) moves the
-// server value by whole buckets or kills it entirely.
+// TestServerP99AgreesWithClient checks the server's latency histogram
+// (vbrsim_http_request_seconds{endpoint="frames"} on /metrics) against the
+// client's wall time around each ServeHTTP dispatch of the same requests:
+// 4 workers each read 1100 frames (two chunks, so two Writes) at a time
+// from 8 TES sessions through a sleepyResponse. The middleware's timer is
+// nested inside the client's, so each server duration is at most its
+// client duration, however long the scheduler keeps a worker off the CPU.
+// The two Writes put each server duration above 2 ms. So at every bucket
+// bound the server's cumulative count is at least the number of client
+// durations within the bound and is 0 below 2 ms, and _count is the number
+// of requests. A wrong endpoint label leaves no frames series to count, a
+// seconds-vs-millis slip either way moves every observation across one of
+// those bounds, and another family (vbrsim_server_frame_emit_seconds, say)
+// has no frames-endpoint series.
 func TestServerP99AgreesWithClient(t *testing.T) {
 	const (
 		sessions = 8
 		workers  = 4
-		perWork  = 500
+		perWork  = 50
+		floor    = 2 * writeDelay
 	)
 	s, ts := newTestServer(t, Options{})
 	ids := make([]string, sessions)
@@ -399,11 +400,11 @@ func TestServerP99AgreesWithClient(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWork; i++ {
-				req := httptest.NewRequest("GET", "/v1/streams/"+ids[(w+i*workers)%sessions]+"/frames?n=2", nil)
+				req := httptest.NewRequest("GET", "/v1/streams/"+ids[(w+i*workers)%sessions]+"/frames?n=1100", nil)
 				req.Header.Set("Accept", ContentTypeFrames)
 				rec := httptest.NewRecorder()
 				t0 := time.Now()
-				s.ServeHTTP(rec, req)
+				s.ServeHTTP(sleepyResponse{rec}, req)
 				lat[w] = append(lat[w], time.Since(t0))
 				if rec.Code != http.StatusOK {
 					errs <- fmt.Errorf("frames: HTTP %d %s", rec.Code, rec.Body)
@@ -417,25 +418,47 @@ func TestServerP99AgreesWithClient(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	all := slices.Concat(lat...)
-	slices.Sort(all)
-	cp99, sp99 := all[len(all)*99/100], scrapeServerP99(t, s)
+	client := slices.Concat(lat...)
 
-	// The request-histogram bucket bounds from metrics.go.
-	bounds := []time.Duration{
-		500 * time.Microsecond, 2 * time.Millisecond, 10 * time.Millisecond,
-		50 * time.Millisecond, 200 * time.Millisecond, time.Second, 5 * time.Second,
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	fams, err := obs.ParseExposition(rec.Body)
+	if err != nil {
+		t.Fatal(err)
 	}
-	bucketOf := func(d time.Duration) int {
-		for i, ub := range bounds {
-			if d <= ub {
-				return i
+	f := fams["vbrsim_http_request_seconds"]
+	if f == nil {
+		t.Fatal("no request latency histogram on /metrics")
+	}
+	count := -1.0
+	for _, smp := range f.Samples {
+		if !strings.Contains(smp.Labels, `endpoint="frames"`) {
+			continue
+		}
+		switch {
+		case strings.HasSuffix(smp.Name, "_count"):
+			count = smp.Value
+		case strings.HasSuffix(smp.Name, "_bucket"):
+			_, le, _ := strings.Cut(smp.Labels, `le="`)
+			bound, err := strconv.ParseFloat(strings.TrimSuffix(le, `"}`), 64)
+			if err != nil {
+				t.Fatalf("bucket labels %s: %v", smp.Labels, err)
+			}
+			lo, hi := 0, 0
+			for _, d := range client {
+				if d.Seconds() <= bound {
+					lo++
+				}
+			}
+			if bound >= floor.Seconds() {
+				hi = len(client)
+			}
+			if smp.Value < float64(lo) || smp.Value > float64(hi) {
+				t.Errorf("le=%v: %v server durations, want within [%d, %d]", bound, smp.Value, lo, hi)
 			}
 		}
-		return len(bounds)
 	}
-	if cb, sb := bucketOf(cp99), bucketOf(sp99); cb-sb < -1 || cb-sb > 1 {
-		t.Fatalf("client p99 %v (bucket %d) and server p99 %v (bucket %d) disagree beyond one histogram bucket",
-			cp99, cb, sp99, sb)
+	if count != float64(len(client)) {
+		t.Errorf("frames latency _count %v, want %d requests", count, len(client))
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -97,45 +96,6 @@ func readNDJSON(t *testing.T, url string) []float64 {
 		t.Fatal(err)
 	}
 	return out
-}
-
-func TestStreamMatchesOfflineAndResumes(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	spec := paperSpec(1234)
-	info := createStream(t, ts.URL, spec)
-	if info.Seed != 1234 || info.Pos != 0 {
-		t.Fatalf("session info: %+v", info)
-	}
-
-	got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=300", ts.URL, info.ID))
-	if len(got) != 300 {
-		t.Fatalf("got %d frames, want 300", len(got))
-	}
-	want, err := spec.Frames(context.Background(), 0, 500, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("frame %d: server %v, offline %v", i, got[i], want[i])
-		}
-	}
-
-	// A second read continues where the first stopped.
-	got2 := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=200", ts.URL, info.ID))
-	for i := range got2 {
-		if got2[i] != want[300+i] {
-			t.Fatalf("continued frame %d: %v, want %v", 300+i, got2[i], want[300+i])
-		}
-	}
-
-	// An explicit from= replays a past range (reconnect semantics).
-	replay := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=100&from=100", ts.URL, info.ID))
-	for i := range replay {
-		if replay[i] != want[100+i] {
-			t.Fatalf("replayed frame %d: %v, want %v", 100+i, replay[i], want[100+i])
-		}
-	}
 }
 
 func TestSessionCapAndDelete(t *testing.T) {

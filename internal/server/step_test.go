@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"vbrsim/internal/modelspec"
-	"vbrsim/internal/trunk"
 )
 
 func blockPaperSpec(seed uint64) modelspec.Spec {
@@ -26,34 +25,6 @@ func blockPaperSpec(seed uint64) modelspec.Spec {
 	s.Seed = seed
 	s.Engine = modelspec.EngineBlock
 	return s
-}
-
-// TestBlockEngineSessionMatchesOffline locks the served-vs-offline contract
-// for block-engine sessions: the frames a session streams, across chunked
-// reads and an explicit from= replay, are bit-identical to Spec.Frames.
-func TestBlockEngineSessionMatchesOffline(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	spec := blockPaperSpec(4242)
-	info := createStream(t, ts.URL, spec)
-
-	want, err := spec.Frames(context.Background(), 0, 600, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=400", ts.URL, info.ID))
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("frame %d: server %v, offline %v", i, got[i], want[i])
-		}
-	}
-	// Backward seek on the block engine is O(1); it must still land
-	// bit-exactly.
-	replay := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=100&from=50", ts.URL, info.ID))
-	for i := range replay {
-		if math.Float64bits(replay[i]) != math.Float64bits(want[50+i]) {
-			t.Fatalf("replayed frame %d: %v, want %v", 50+i, replay[i], want[50+i])
-		}
-	}
 }
 
 // TestBlockEngineSeekCapStillEnforced pins the from= guard on block-engine
@@ -70,160 +41,6 @@ func TestBlockEngineSeekCapStillEnforced(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("seek beyond cap: status %d, want 400", resp.StatusCode)
-	}
-}
-
-// TestStreamStepAdvancesBatch drives the batched-stepping endpoint over a
-// mixed fleet (both engines) and checks every session advances by exactly
-// n with the positions reported, and that a follow-up read continues
-// bit-identically to offline generation — stepping is just serving without
-// the response body.
-func TestStreamStepAdvancesBatch(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	const fleet = 5
-	const stepN = 500
-	var ids []string
-	var specs []modelspec.Spec
-	for i := 0; i < fleet; i++ {
-		spec := blockPaperSpec(uint64(1000 + i))
-		if i%2 == 1 {
-			spec = paperSpec(uint64(1000 + i)) // interleave truncated engine
-		}
-		info := createStream(t, ts.URL, spec)
-		ids = append(ids, info.ID)
-		specs = append(specs, spec)
-	}
-
-	resp := postJSON(t, ts.URL+"/v1/streams/step", StepRequest{IDs: ids, N: stepN})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("step: %d %s", resp.StatusCode, body)
-	}
-	results := decodeJSON[[]StepResult](t, resp)
-	if len(results) != fleet {
-		t.Fatalf("got %d results, want %d", len(results), fleet)
-	}
-	for i, res := range results {
-		if res.ID != ids[i] {
-			t.Fatalf("result %d is for %s, want %s (order must match request)", i, res.ID, ids[i])
-		}
-		if res.Start != 0 || res.Pos != stepN {
-			t.Fatalf("result %d: start %d pos %d, want 0 %d", i, res.Start, res.Pos, stepN)
-		}
-		if res.Frames != nil {
-			t.Fatalf("result %d carries frames without include_frames", i)
-		}
-	}
-
-	// Continuity: frames read after the step are offline frames stepN+.
-	for i, id := range ids {
-		want, err := specs[i].Frames(context.Background(), 0, stepN+64, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=64", ts.URL, id))
-		for j := range got {
-			if math.Float64bits(got[j]) != math.Float64bits(want[stepN+j]) {
-				t.Fatalf("session %s frame %d after step: %v, want %v", id, stepN+j, got[j], want[stepN+j])
-			}
-		}
-	}
-}
-
-// TestStreamStepIncludeFrames checks the frame-returning variant is
-// bit-identical to offline generation.
-func TestStreamStepIncludeFrames(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	spec := blockPaperSpec(31337)
-	info := createStream(t, ts.URL, spec)
-
-	resp := postJSON(t, ts.URL+"/v1/streams/step", StepRequest{IDs: []string{info.ID}, N: 256, IncludeFrames: true})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("step: %d %s", resp.StatusCode, body)
-	}
-	results := decodeJSON[[]StepResult](t, resp)
-	want, err := spec.Frames(context.Background(), 0, 256, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 1 || len(results[0].Frames) != 256 {
-		t.Fatalf("results: %+v", results)
-	}
-	for i, v := range results[0].Frames {
-		if math.Float64bits(v) != math.Float64bits(want[i]) {
-			t.Fatalf("stepped frame %d: %v, want %v", i, v, want[i])
-		}
-	}
-}
-
-// TestStreamStepWorkerCountInvariance pins the fan-out contract of the
-// sticky-chunk rewrite: the step response — positions and returned frames,
-// bit for bit — is identical whatever StepWorkers is, because results are
-// keyed by request index and each session's frames depend only on its own
-// spec, seed, and cumulative position. The fleet size (11) is chosen to
-// not divide evenly into any tested worker count, exercising the ragged
-// final chunk. The baseline runs with statmon disabled while the
-// multi-worker runs sample every chunk, so the comparison also proves the
-// monitor tap is determinism-neutral under concurrent workers.
-func TestStreamStepWorkerCountInvariance(t *testing.T) {
-	const fleet = 11
-	const stepN = 192
-	type round struct {
-		include bool
-		n       int
-	}
-	rounds := []round{{false, stepN}, {true, 64}, {true, 96}}
-
-	run := func(workers, statmonSample int) [][]StepResult {
-		_, ts := newTestServer(t, Options{StepWorkers: workers, StatmonSampleEvery: statmonSample})
-		var ids []string
-		for i := 0; i < fleet; i++ {
-			spec := blockPaperSpec(uint64(9000 + i))
-			if i%3 == 1 {
-				spec = paperSpec(uint64(9000 + i))
-			}
-			ids = append(ids, createStream(t, ts.URL, spec).ID)
-		}
-		var out [][]StepResult
-		for _, rd := range rounds {
-			resp := postJSON(t, ts.URL+"/v1/streams/step",
-				StepRequest{IDs: ids, N: rd.n, IncludeFrames: rd.include})
-			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				t.Fatalf("step with %d workers: %d %s", workers, resp.StatusCode, body)
-			}
-			out = append(out, decodeJSON[[]StepResult](t, resp))
-		}
-		return out
-	}
-
-	want := run(1, -1) // statmon off: the untapped reference
-	for _, workers := range []int{3, 16} {
-		got := run(workers, 1) // statmon sampling every chunk
-		for r := range want {
-			if len(got[r]) != len(want[r]) {
-				t.Fatalf("workers=%d round %d: %d results, want %d", workers, r, len(got[r]), len(want[r]))
-			}
-			for i := range want[r] {
-				g, w := got[r][i], want[r][i]
-				if g.ID != w.ID || g.Start != w.Start || g.Pos != w.Pos || g.Gone != w.Gone {
-					t.Fatalf("workers=%d round %d result %d: %+v, want %+v", workers, r, i, g, w)
-				}
-				if len(g.Frames) != len(w.Frames) {
-					t.Fatalf("workers=%d round %d result %d: %d frames, want %d", workers, r, i, len(g.Frames), len(w.Frames))
-				}
-				for j := range w.Frames {
-					if math.Float64bits(g.Frames[j]) != math.Float64bits(w.Frames[j]) {
-						t.Fatalf("workers=%d round %d session %d frame %d: %v, want %v",
-							workers, r, i, j, g.Frames[j], w.Frames[j])
-					}
-				}
-			}
-		}
 	}
 }
 
@@ -306,147 +123,6 @@ func TestStreamStepValidation(t *testing.T) {
 		}
 		if got := decodeJSON[SessionInfo](t, resp); got.Pos != 0 {
 			t.Fatalf("session %s advanced to %d by a rejected batch", id, got.Pos)
-		}
-	}
-}
-
-// stepFleetSession is one session of the lockstep differential fleet and
-// its offline twin, advanced alongside it.
-type stepFleetSession struct {
-	id   string
-	spec *modelspec.Spec // nil for the trunk
-	twin interface{ Fill([]float64) }
-	pos  int
-}
-
-// TestStreamStepLockstepDifferential steps a fleet that mixes truncated
-// sessions of two truncations (and two marginals over one of them) with
-// block, tes and trunk sessions, some fresh (inside warm-up) and some moved
-// off frame 0 by an earlier read, with and without include_frames, for n
-// across the chunk boundaries. The list holds runs of four sessions of one
-// truncation, so full lane groups form, and runs that mix engines. Every session's Start/Pos must be right and
-// its frames byte-equal to an offline twin filled frame range by frame
-// range, whatever lockstep groups the workers formed; at the end each
-// plain session's next frames equal Spec.Frames at its position.
-func TestStreamStepLockstepDifferential(t *testing.T) {
-	workerCounts := []int{1, 3}
-	if testing.Short() {
-		workerCounts = []int{1}
-	}
-	for _, workers := range workerCounts {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			testStepLockstepDifferential(t, workers)
-		})
-	}
-}
-
-func testStepLockstepDifferential(t *testing.T, workers int) {
-	ctx := context.Background()
-	_, ts := newTestServer(t, Options{StepWorkers: workers, StatmonSampleEvery: 1})
-	paper := modelspec.Paper()
-	gamma := modelspec.Paper()
-	gamma.Marginal = &modelspec.MarginalSpec{Kind: "gamma", Shape: 4, Scale: 4000}
-	fgn := modelspec.Spec{ACF: modelspec.ACFSpec{Kind: modelspec.ACFFGN, H: 0.8}}
-	at := func(s modelspec.Spec, seed uint64) *modelspec.Spec { s.Seed = seed; return &s }
-	plain := []struct {
-		spec *modelspec.Spec
-		read int // frames read before the first step
-	}{
-		{at(paper, 1), 0},
-		{at(gamma, 2), 700},
-		{at(paper, 3), 100},
-		{at(paper, 4), 362},
-		{at(blockPaperSpec(0), 5), 100},
-		{at(fgn, 6), 700},
-		{at(fgn, 7), 0},
-		{at(fgn, 8), 100},
-		{at(fgn, 9), 1500},
-		{at(tesTestSpec(0), 10), 0},
-		{nil, 50}, // the trunk
-		{at(paper, 12), 700},
-		{at(paper, 13), 1500},
-		{at(gamma, 14), 0},
-		{at(paper, 15), 3000},
-		{at(fgn, 16), 2000},
-	}
-	fleet := make([]*stepFleetSession, len(plain))
-	ids := make([]string, len(plain))
-	for i, p := range plain {
-		fs := &stepFleetSession{spec: p.spec}
-		if p.spec == nil {
-			spec := testTrunkSpec(7)
-			fs.id = createTrunk(t, ts.URL, spec).ID
-			tr, err := trunk.Open(ctx, &spec, trunk.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(tr.Close)
-			fs.twin = tr
-		} else {
-			fs.id = createStream(t, ts.URL, *p.spec).ID
-			st, err := p.spec.OpenCtx(ctx, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(st.Close)
-			fs.twin = st
-		}
-		if p.read > 0 {
-			readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=%d", ts.URL, fs.id, p.read))
-			fs.twin.Fill(make([]float64, p.read))
-			fs.pos = p.read
-		}
-		fleet[i], ids[i] = fs, fs.id
-	}
-
-	for _, n := range []int{1, 255, 1024, 1025, 3000} {
-		for _, include := range []bool{false, true} {
-			resp := postJSON(t, ts.URL+"/v1/streams/step", StepRequest{IDs: ids, N: n, IncludeFrames: include})
-			if resp.StatusCode != http.StatusOK {
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				t.Fatalf("step n=%d: %d %s", n, resp.StatusCode, body)
-			}
-			results := decodeJSON[[]StepResult](t, resp)
-			want := make([]float64, n)
-			for i, fs := range fleet {
-				res := results[i]
-				if res.ID != fs.id || res.Gone || res.Start != fs.pos || res.Pos != fs.pos+n {
-					t.Fatalf("n=%d include=%v session %s: %s %d→%d gone=%v, want %d→%d",
-						n, include, fs.id, res.ID, res.Start, res.Pos, res.Gone, fs.pos, fs.pos+n)
-				}
-				fs.twin.Fill(want)
-				if include {
-					if len(res.Frames) != n {
-						t.Fatalf("n=%d session %s: %d frames", n, fs.id, len(res.Frames))
-					}
-					for j := range want {
-						if math.Float64bits(res.Frames[j]) != math.Float64bits(want[j]) {
-							t.Fatalf("n=%d session %s frame %d: %v, want %v", n, fs.id, fs.pos+j, res.Frames[j], want[j])
-						}
-					}
-				} else if res.Frames != nil {
-					t.Fatalf("n=%d session %s carries frames without include_frames", n, fs.id)
-				}
-				fs.pos += n
-			}
-		}
-	}
-	// The discard rounds moved the sessions exactly as far: each plain
-	// session's next frames are the offline reference at its position.
-	for _, fs := range fleet {
-		if fs.spec == nil {
-			continue
-		}
-		want, err := fs.spec.Frames(ctx, fs.pos, 16, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=16", ts.URL, fs.id))
-		for j := range want {
-			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-				t.Fatalf("session %s frame %d after the steps: %v, want %v", fs.id, fs.pos+j, got[j], want[j])
-			}
 		}
 	}
 }

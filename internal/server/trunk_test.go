@@ -1,15 +1,11 @@
 package server
 
 import (
-	"context"
-	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"testing"
 
 	"vbrsim/internal/modelspec"
-	"vbrsim/internal/trunk"
 )
 
 // testTrunkSpec is a small heterogeneous trunk: two block-engine replicas
@@ -36,113 +32,6 @@ func createTrunk(t *testing.T, base string, spec modelspec.TrunkSpec) SessionInf
 		t.Fatalf("create trunk: %d %s", resp.StatusCode, body)
 	}
 	return decodeJSON[SessionInfo](t, resp)
-}
-
-// TestTrunkSessionMatchesOffline locks the served-vs-offline contract for
-// trunk sessions: the frames a trunk session streams — including a seek
-// replay — are bit-identical to a trunk.Trunk opened offline with the same
-// spec and seed.
-func TestTrunkSessionMatchesOffline(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	spec := testTrunkSpec(777)
-	info := createTrunk(t, ts.URL, spec)
-	if info.Kind != "trunk" || info.Sources != 4 {
-		t.Fatalf("trunk info: kind=%q sources=%d, want trunk/4", info.Kind, info.Sources)
-	}
-	if info.Seed != 777 || info.Pos != 0 {
-		t.Fatalf("trunk info: %+v", info)
-	}
-
-	offline, err := trunk.Open(context.Background(), &spec, trunk.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offline.Close()
-	want := make([]float64, 600)
-	offline.Fill(want)
-
-	got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=400", ts.URL, info.ID))
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("frame %d: server %v, offline %v", i, got[i], want[i])
-		}
-	}
-	// Backward seek fans out to the components; it must land bit-exactly.
-	replay := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=100&from=50", ts.URL, info.ID))
-	for i := range replay {
-		if math.Float64bits(replay[i]) != math.Float64bits(want[50+i]) {
-			t.Fatalf("replayed frame %d: %v, want %v", 50+i, replay[i], want[50+i])
-		}
-	}
-}
-
-// TestTrunkSessionAutoSeed checks a seedless trunk spec gets a derived seed
-// echoed back, and that re-creating offline with that seed reproduces the
-// served frames.
-func TestTrunkSessionAutoSeed(t *testing.T) {
-	_, ts := newTestServer(t, Options{Seed: 99})
-	spec := testTrunkSpec(0)
-	info := createTrunk(t, ts.URL, spec)
-	if info.Seed == 0 {
-		t.Fatal("server did not assign a trunk seed")
-	}
-	spec.Seed = info.Seed
-	offline, err := trunk.Open(context.Background(), &spec, trunk.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offline.Close()
-	want := make([]float64, 128)
-	offline.Fill(want)
-	got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=128", ts.URL, info.ID))
-	for i := range got {
-		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("frame %d: server %v, offline %v", i, got[i], want[i])
-		}
-	}
-}
-
-// TestTrunkSessionStepsWithStreams drives a mixed batch — a trunk session
-// and a plain stream — through POST /v1/streams/step and checks both
-// advance with continuity intact.
-func TestTrunkSessionStepsWithStreams(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	trunkSpec := testTrunkSpec(5150)
-	trunkInfo := createTrunk(t, ts.URL, trunkSpec)
-	streamInfo := createStream(t, ts.URL, blockPaperSpec(5151))
-
-	const stepN = 300
-	resp := postJSON(t, ts.URL+"/v1/streams/step",
-		StepRequest{IDs: []string{trunkInfo.ID, streamInfo.ID}, N: stepN})
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		t.Fatalf("step: %d %s", resp.StatusCode, body)
-	}
-	results := decodeJSON[[]StepResult](t, resp)
-	if len(results) != 2 {
-		t.Fatalf("got %d results, want 2", len(results))
-	}
-	for i, res := range results {
-		if res.Start != 0 || res.Pos != stepN {
-			t.Fatalf("result %d: start %d pos %d, want 0 %d", i, res.Start, res.Pos, stepN)
-		}
-	}
-
-	// Continuity: frames after the step are offline frames stepN+.
-	offline, err := trunk.Open(context.Background(), &trunkSpec, trunk.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer offline.Close()
-	want := make([]float64, stepN+64)
-	offline.Fill(want)
-	got := readNDJSON(t, fmt.Sprintf("%s/v1/streams/%s/frames?n=64", ts.URL, trunkInfo.ID))
-	for j := range got {
-		if math.Float64bits(got[j]) != math.Float64bits(want[stepN+j]) {
-			t.Fatalf("trunk frame %d after step: %v, want %v", stepN+j, got[j], want[stepN+j])
-		}
-	}
 }
 
 // TestTrunkSessionDeleteReleasesSources checks DELETE closes the trunk and

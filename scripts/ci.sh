@@ -37,6 +37,10 @@ echo "== race gates"
 # reduced iterations): 64-goroutine churn with the idle evictor racing real
 # traffic must leak no sessions, cost, or arena bytes.
 go test -race -run 'TestRegistryChurnStress' -count=1 ./internal/server
+# The server oracle at its -short size: random and scripted op sequences
+# checked response by response against offline playback, then a phase in
+# which goroutines share the server, each on its own sessions.
+go test -race -short -run 'TestServerOracle' -count=1 ./internal/server
 # Per-spec shared state (truncation, block engine, LUT, statmon reference)
 # is read by every session of a spec at once: 32 goroutines opening,
 # seeking and filling one spec from a cold plan cache must race-check clean
@@ -80,7 +84,7 @@ echo "== perf gates"
 #     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
 #     tap/fill time share <= 0.05), TestObserveZeroAlloc
-#   capacity ramp smoke (loadgen -selfserve) -> stream-short frames_per_s;
+#   capacity ramp smoke -> stream-short frames_per_s;
 #     TestFramesRecordsAllocs (4- and 256-frame reads)
 # Retained memory: TestTruncatedOpenRetainedBytes (exact HeapAlloc delta
 #   of one cold paper-spec open: < 1 MiB truncated, < 4 MiB block) guards
@@ -123,6 +127,9 @@ go test ./internal/modelspec -run '^$' -fuzz 'FuzzQuantileRoundTrip' -fuzztime=5
 # The binary frame protocol decoder must never panic and must classify
 # every malformed input as truncated or oversized, nothing else.
 go test ./internal/server -run '^$' -fuzz 'FuzzBinaryFrameDecode' -fuzztime=5s
+# Op sequences decoded from fuzzed bytes must get exactly the responses the
+# server oracle predicts.
+go test ./internal/server -run '^$' -fuzz 'FuzzServerOracle' -fuzztime=10s
 # The fused real-FFT forward kernel must stay bit-identical to the
 # unfused reference on arbitrary inputs.
 go test ./internal/fft -run '^$' -fuzz 'FuzzRealForwardVsReference' -fuzztime=5s
