@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"vbrsim/internal/modelspec"
+	"vbrsim/internal/streamblock"
 )
 
 // update regenerates the golden traces instead of comparing against them:
@@ -27,7 +28,8 @@ const (
 // goldenSources enumerates every deterministic frame producer that gets a
 // golden trace: the background backends pushed through the marginal
 // transform, plus the serving paths (modelspec.Stream via Spec.Frames —
-// exactly what trafficd emits) on both engines.
+// exactly what trafficd emits) on both engines, the block engine both at
+// its start and across a stitched boundary after a seek.
 func goldenSources(ctx context.Context) (map[string][]float64, error) {
 	comp, tr, _, err := paperModel()
 	if err != nil {
@@ -54,6 +56,20 @@ func goldenSources(ctx context.Context) (map[string][]float64, error) {
 		return nil, err
 	}
 	out["stream_block"] = blockFrames
+	// Block 0 has no stitch. A read from 4·B−128 seeks (refilling the raw
+	// block 3 for its history, then block 4 stitched) and crosses from
+	// block 3's tail into block 4's stitched head, so it pins the stitch
+	// and both the draws and the transforms of a seeked refill.
+	trunc, err := truncatedFor(ctx, comp)
+	if err != nil {
+		return nil, err
+	}
+	block := streamblock.DefaultTotal - trunc.Order()
+	stitched, err := spec.Frames(ctx, 4*block-128, goldenFrames, 0)
+	if err != nil {
+		return nil, err
+	}
+	out["stream_block_stitched"] = stitched
 	gopSpec := modelspec.Spec{
 		Seed:   goldenSeed,
 		Engine: modelspec.EngineGOP,

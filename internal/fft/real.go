@@ -315,6 +315,24 @@ func HermitianRealConjProduct(out []float64, s, g, z []complex128) error {
 	return nil
 }
 
+// HermitianStages runs HermitianReal's butterfly stages alone: the
+// unnormalized half-length inverse kernel over z in place, then the unpack
+// of its interleaved result into out. HermitianReal and its variants run it
+// after their pair-rotation scatter; it is exported so the block engine's
+// refill ledger can time the stages apart from the scatter. len(z) must be
+// a power of two and len(out) at most 2·len(z).
+func HermitianStages(out []float64, z []complex128) error {
+	h := len(z)
+	if !IsPowerOfTwo(h) {
+		return ErrNotPowerOfTwo
+	}
+	if len(out) > 2*h {
+		return ErrBadLength
+	}
+	hermitianKernel(out, z, tablesFor(h))
+	return nil
+}
+
 // hermitianScatter performs the pair-rotation pass over the half-spectrum a
 // as-is, scattering Z to bit-reversed positions for hermitianKernel. Reading
 // the conjugated doubled spectrum W[k] = 2·conj(A[k]) on the fly, the packed
@@ -501,36 +519,48 @@ func hermitianTileStages(z []complex128, t *tables, odd bool) int {
 // at half-length q and stopping once a double stage would span more than
 // limit elements. Stage q and stage 2q combine using w_{4q}^{q+k} = i·w_{4q}^k,
 // so each element is loaded and stored once per two stages. It returns the
-// half-length reached.
+// half-length reached. On amd64 with AVX2 the stages run in radix22AVX2,
+// bit for bit; radix22 runs them elsewhere.
 func hermitianDoubleStages(z []complex128, t *tables, q, limit int) int {
 	tw := t.inv
-	n := len(z)
 	for ; 4*q <= limit; q <<= 2 {
 		u := tw[q-1 : 2*q-1]   // stage q twiddles (length-2q kernel)
 		w := tw[2*q-1 : 3*q-1] // stage 2q twiddles, first q entries
-		for start := 0; start < n; start += 4 * q {
-			x0 := z[start : start+q : start+q]
-			x1 := z[start+q : start+2*q : start+2*q]
-			x2 := z[start+2*q : start+3*q : start+3*q]
-			x3 := z[start+3*q : start+4*q : start+4*q]
-			for k := 0; k < q; k++ {
-				uk := u[k]
-				b1 := x1[k] * uk
-				b3 := x3[k] * uk
-				t0, t1 := x0[k]+b1, x0[k]-b1
-				t2, t3 := x2[k]+b3, x2[k]-b3
-				wk := w[k]
-				v2 := t2 * wk
-				v3 := t3 * wk
-				iv3 := complex(-imag(v3), real(v3)) // w^{q+k} = i·w^k
-				x0[k] = t0 + v2
-				x2[k] = t0 - v2
-				x1[k] = t1 + iv3
-				x3[k] = t1 - iv3
-			}
+		if !radix22Vec(z, u, w) {
+			radix22(z, u, w)
 		}
 	}
 	return q
+}
+
+// radix22 runs one radix-2² double stage at half-length q = len(u) over
+// every block of 4q elements of z, with stage-q twiddles u and the first q
+// stage-2q twiddles w. It is the only implementation off amd64 and without
+// AVX2, and the oracle the vector kernel is tested against.
+func radix22(z, u, w []complex128) {
+	q := len(u)
+	w = w[:q]
+	for start := 0; start < len(z); start += 4 * q {
+		x0 := z[start : start+q : start+q]
+		x1 := z[start+q : start+2*q : start+2*q]
+		x2 := z[start+2*q : start+3*q : start+3*q]
+		x3 := z[start+3*q : start+4*q : start+4*q]
+		for k := 0; k < q; k++ {
+			uk := u[k]
+			b1 := x1[k] * uk
+			b3 := x3[k] * uk
+			t0, t1 := x0[k]+b1, x0[k]-b1
+			t2, t3 := x2[k]+b3, x2[k]-b3
+			wk := w[k]
+			v2 := t2 * wk
+			v3 := t3 * wk
+			iv3 := complex(-imag(v3), real(v3)) // w^{q+k} = i·w^k
+			x0[k] = t0 + v2
+			x2[k] = t0 - v2
+			x1[k] = t1 + iv3
+			x3[k] = t1 - iv3
+		}
+	}
 }
 
 // log2 returns floor(log2(n)) for n >= 1.

@@ -6,6 +6,12 @@
 // from scratch (rather than wrapping math/rand) so that synthetic traces are
 // bit-reproducible across Go releases, and so that independent streams can be
 // derived deterministically for parallel replications via Split.
+//
+// The batched normal draw (NormPairs) transforms its accepted polar pairs
+// with an AVX2 kernel, four at a time, on amd64 processors that have AVX2,
+// and with a Go loop everywhere else. The kernel performs each lane's IEEE
+// operations in the Go loop's order, with no fused multiply-add, so both
+// paths give the same bits: a trace is the same on every machine.
 package rng
 
 import (
@@ -166,8 +172,10 @@ const acceptBound = 0x3FF0000000000000 - 1
 // compacts the accepted triples without a branch on the rejection test.
 // Phase 2 then transforms the batch in independent iterations, so the
 // divides, math.Log and math.Sqrt of different pairs overlap in the
-// pipeline. The transform is Norm's own expression, so every value is
-// bit-identical to it on every architecture.
+// pipeline; with no spare pending (every Davies-Harte refill) that is
+// PolarTransform, four lanes per instruction where AVX2 is present. The
+// transform is Norm's own expression, so every value is bit-identical to
+// it on every architecture.
 func (r *Source) NormPairs(dst []complex128) {
 	if len(dst) == 0 {
 		return
@@ -225,16 +233,35 @@ func (r *Source) NormPairs(dst []complex128) {
 				carry = v[k] * f
 			}
 		} else {
-			for k := range out {
-				f := math.Sqrt(-2 * math.Log(s[k]) / s[k])
-				out[k] = complex(u[k]*f, v[k]*f)
-			}
+			PolarTransform(out, u, v, s)
 			// Norm leaves the consumed spare's value behind too.
 			carry = imag(out[want-1])
 		}
 		dst = dst[want:]
 	}
 	r.spare, r.hasSpare = carry, shifted
+}
+
+// PolarTransform is Norm's polar transform over accepted candidates
+// (0 < s[k] < 1, s[k] = u[k]²+v[k]²): out[k] = complex(u[k]·f, v[k]·f) with
+// f = √(−2·log(s[k])/s[k]), bit-identical to Norm. It is NormPairs' second
+// phase, exported so the block engine's refill ledger can time it apart
+// from the draws. On amd64 with AVX2 a vector kernel transforms four pairs
+// at a time; polar does the rest, and everything elsewhere.
+func PolarTransform(out []complex128, u, v, s []float64) {
+	n := polarVec(out, u, v, s)
+	polar(out[n:], u[n:], v[n:], s[n:])
+}
+
+// polar is Norm's polar transform over accepted candidates:
+// out[k] = complex(u[k]·f, v[k]·f) with f = √(−2·log(s[k])/s[k]). It is the
+// whole transform off amd64 and without AVX2, the tail polarVec leaves, and
+// the oracle the vector kernel is tested against.
+func polar(out []complex128, u, v, s []float64) {
+	for k := range out {
+		f := math.Sqrt(-2 * math.Log(s[k]) / s[k])
+		out[k] = complex(u[k]*f, v[k]*f)
+	}
 }
 
 // Exp returns an exponential variate with the given rate (mean 1/rate).

@@ -228,9 +228,12 @@ func (s *Server) BeginDrain() {
 	s.jobs.drain()
 }
 
-// Close cancels running jobs, stops the evictor, and waits for the worker
-// pool to exit. Sessions hold no goroutines or external resources, so
-// dropping the Server after Close releases everything.
+// Close cancels running jobs, stops the evictor, waits for the worker
+// pool to exit, and closes every session still open, each under its lock
+// (so after any request that holds it), refunding its admission. Sessions
+// hold no goroutines, so dropping the Server after Close releases
+// everything, and process-wide gauges such as the block engine's arena
+// bytes no longer count its sessions.
 func (s *Server) Close() {
 	s.BeginDrain()
 	s.cancelBase()
@@ -238,6 +241,9 @@ func (s *Server) Close() {
 		<-s.evictorDone
 	}
 	s.jobs.wg.Wait()
+	for _, ss := range s.reg.list() {
+		s.removeSession(ss.id)
+	}
 }
 
 // runEvictor sweeps the registry every IdleTimeout/4 (but no more often

@@ -16,6 +16,8 @@ import (
 	"time"
 
 	"vbrsim/internal/modelspec"
+	"vbrsim/internal/obs"
+	"vbrsim/internal/streamblock"
 )
 
 func newTestServer(t *testing.T, opt Options) (*Server, *httptest.Server) {
@@ -378,4 +380,51 @@ func TestBadRequests(t *testing.T) {
 		t.Fatalf("invalid spec: %d", bad.StatusCode)
 	}
 	bad.Body.Close()
+}
+
+// TestCloseClosesOpenSessions pins that Close closes the sessions a client
+// left open: the block engine's process-wide arena gauge returns to its
+// value before New, and the admission budget, the registry and
+// vbrsim_sessions_active to zero.
+func TestCloseClosesOpenSessions(t *testing.T) {
+	arenaGauge := func() float64 {
+		reg := obs.NewRegistry()
+		streamblock.RegisterMetrics(reg)
+		var buf bytes.Buffer
+		if err := reg.WriteText(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return metricValue(t, buf.String(), "vbrsim_streamblock_arena_bytes")
+	}
+	before := arenaGauge()
+	s := New(Options{})
+	ts := httptest.NewServer(s)
+	block := paperSpec(1)
+	block.Engine = modelspec.EngineBlock
+	read := createStream(t, ts.URL, block)
+	createStream(t, ts.URL, block)
+	createStream(t, ts.URL, paperSpec(2))
+	resp, err := http.Get(ts.URL + "/v1/streams/" + read.ID + "/frames?n=300")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if open := arenaGauge(); open == before {
+		t.Fatal("the block sessions added no arena bytes")
+	}
+	ts.Close()
+	s.Close()
+	if got := arenaGauge(); got != before {
+		t.Errorf("vbrsim_streamblock_arena_bytes %v after Close, want %v as before New", got, before)
+	}
+	if got := s.adm.usedCost(); got != 0 {
+		t.Errorf("admission cost used %v after Close, want 0", got)
+	}
+	if got := len(s.reg.list()); got != 0 {
+		t.Errorf("registry holds %d sessions after Close, want 0", got)
+	}
+	if got := s.metrics.sessionsActive.Value(); got != 0 {
+		t.Errorf("vbrsim_sessions_active %v after Close, want 0", got)
+	}
 }

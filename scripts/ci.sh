@@ -19,6 +19,9 @@ go build ./...
 
 echo "== go vet"
 go vet ./...
+# The vector kernels are amd64 assembly; off amd64 the Go loops are the
+# only path, and this keeps that build vetted.
+GOARCH=arm64 go vet ./internal/cpu ./internal/rng ./internal/fft
 
 echo "== go test -race -short"
 go test -race -short ./...
@@ -83,7 +86,9 @@ echo "== perf gates"
 #   benchdiff TrunkFillSerial/s=64 -> TestTrunkFillZeroAllocSteadyState,
 #     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
-#     tap/fill time share <= 0.05), TestObserveZeroAlloc
+#     tap/fill time share <= 0.0065, the fill being the truncated engine's
+#     AR recursion, which no vector kernel touches),
+#     TestObserveZeroAlloc
 #   capacity ramp smoke -> stream-short frames_per_s;
 #     TestFramesRecordsAllocs (4- and 256-frame reads)
 # Retained memory: TestTruncatedOpenRetainedBytes (exact HeapAlloc delta
@@ -111,9 +116,13 @@ echo "== perf gates"
 #   offline fast path takes its truncation from the cache, never a 64 MiB plan.
 # NormPairs: TestNormPairsRatio (median NormPairs/Norm time of 4096 pairs
 #   <= 0.75) guards the batched normal draw behind every block refill.
-# The four timing tests skip under -short and under -race, so no race run
+# Vector kernels (amd64 with AVX2; skip elsewhere): TestPolarKernelRatio
+#   (median polarAVX2/polar time over 4096 pairs <= 0.75) and
+#   TestButterflyKernelRatio (median radix22AVX2/radix22 time of the h = 8192
+#   double stages <= 0.75) guard that each assembly kernel pays for itself.
+# The timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server ./internal/rng ./internal/core
@@ -133,6 +142,9 @@ go test ./internal/server -run '^$' -fuzz 'FuzzServerOracle' -fuzztime=10s
 # The fused real-FFT forward kernel must stay bit-identical to the
 # unfused reference on arbitrary inputs.
 go test ./internal/fft -run '^$' -fuzz 'FuzzRealForwardVsReference' -fuzztime=5s
+# The AVX2 radix-2² butterflies must stay bit-identical to the Go loop on
+# arbitrary inputs at every table size and stage (skips without AVX2).
+go test ./internal/fft -run '^$' -fuzz 'FuzzButterflyVsScalar' -fuzztime=5s
 # The batched normal draw must emit exactly the values, and leave exactly
 # the generator state, of the same number of successive Norm calls.
 go test ./internal/rng -run '^$' -fuzz 'FuzzNormPairsVsNorm' -fuzztime=5s
