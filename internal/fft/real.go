@@ -2,6 +2,7 @@ package fft
 
 import (
 	"errors"
+	"unsafe"
 )
 
 // ErrBadLength is returned by the real-transform helpers when a buffer does
@@ -268,7 +269,7 @@ func HermitianReal(out []float64, a, z []complex128) error {
 		return ErrBadLength
 	}
 	t := tablesFor(h)
-	hermitianScatter(z[:h], a, t)
+	hermitianScatter(z[:h], a, t, scatterSpan(h))
 	hermitianKernel(out, z[:h], t)
 	return nil
 }
@@ -289,7 +290,7 @@ func HermitianRealScaled(out []float64, a []complex128, w []float64, z []complex
 		return ErrBadLength
 	}
 	t := tablesFor(h)
-	hermitianScatterScaled(z[:h], a, w, t)
+	hermitianScatterScaled(z[:h], a, w, t, scatterSpan(h))
 	hermitianKernel(out, z[:h], t)
 	return nil
 }
@@ -310,7 +311,7 @@ func HermitianRealConjProduct(out []float64, s, g, z []complex128) error {
 		return ErrBadLength
 	}
 	t := tablesFor(h)
-	hermitianScatterConjProduct(z[:h], s, g, t)
+	hermitianScatterConjProduct(z[:h], s, g, t, scatterSpan(h))
 	hermitianKernel(out, z[:h], t)
 	return nil
 }
@@ -333,6 +334,32 @@ func HermitianStages(out []float64, z []complex128) error {
 	return nil
 }
 
+// The three scatters compute pair k, for k = 1..h/2−1, independently of
+// every other pair, and write it to z[rev[k]] and z[rev[h−k]]. Walked in
+// natural order, consecutive pairs land h/4 elements apart: past L1 size
+// every store touches a new cache line. They walk k = l + i·span instead,
+// l outer and i inner, with span = h/(2·scatterGroups): the i bits are the
+// high bits of k, which bit reversal makes the low bits of rev[k] and
+// rev[h−k], so one inner run stores to a few adjacent lines. Each z entry
+// gets the same operands and operations in either order, so the walk
+// cannot move a bit. span = 1 is the natural order, which h < 16 keeps.
+// Each scatter takes its span as an argument, scatterSpan(h) in
+// production, so TestScatterOrder can run the natural order as the oracle
+// of the blocked one.
+const scatterGroups = 8
+
+// scatterSpan returns the outer stride of the scatter walk at half-length h.
+func scatterSpan(h int) int { return max(h/(2*scatterGroups), 1) }
+
+// scatterFirst returns the first k of outer step l: l itself, except that
+// pair 0 (the DC/Nyquist bins) is written apart, so step 0 starts at span.
+func scatterFirst(l, span int) int {
+	if l == 0 {
+		return span
+	}
+	return l
+}
+
 // hermitianScatter performs the pair-rotation pass over the half-spectrum a
 // as-is, scattering Z to bit-reversed positions for hermitianKernel. Reading
 // the conjugated doubled spectrum W[k] = 2·conj(A[k]) on the fly, the packed
@@ -352,25 +379,29 @@ func HermitianStages(out []float64, z []complex128) error {
 // scaled and conj-product variants repeat this body verbatim (it exceeds the
 // inliner's budget as a helper, and the scatter runs once per synthesized
 // block); only the spectrum reads feeding (p,q,s,u) differ.
-func hermitianScatter(z, a []complex128, t *tables) {
+func hermitianScatter(z, a []complex128, t *tables, span int) {
 	h := t.n
 	rot := t.rotation()
 	rev := t.rev
 	a0, ah := real(a[0]), real(a[h])
 	z[0] = complex(a0+ah, a0-ah)
-	for k := 1; k < h-k; k++ {
-		p, q := real(a[k]), imag(a[k])
-		s, u := real(a[h-k]), imag(a[h-k])
-		rr, ri := real(rot[k]), imag(rot[k])
-		dp := p - s // Re difference
-		sq := q + u // Im sum
-		A := rr * dp
-		B := ri * sq
-		C := ri * dp
-		D := rr * sq
-		ps := p + s
-		z[rev[k]] = complex(ps+2*(A+B), (u-q)+2*(C-D))
-		z[rev[h-k]] = complex(ps-2*(A+B), (q-u)+2*(C-D))
+	half := h / 2
+	for l := range span {
+		for k := scatterFirst(l, span); k < half; k += span {
+			p, q := real(a[k]), imag(a[k])
+			s, u := real(a[h-k]), imag(a[h-k])
+			rr, ri := real(rot[k]), imag(rot[k])
+			dp := p - s // Re difference
+			sq := q + u // Im sum
+			A := float64(rr * dp)
+			B := float64(ri * sq)
+			C := float64(ri * dp)
+			D := float64(rr * sq)
+			ps := p + s
+			ab, cd := float64(2*(A+B)), float64(2*(C-D))
+			z[rev[k]] = complex(ps+ab, (u-q)+cd)
+			z[rev[h-k]] = complex(ps-ab, (q-u)+cd)
+		}
 	}
 	if h >= 2 {
 		// Self-paired midpoint: rot[h/2] is exactly -1/2, which reduces the
@@ -382,30 +413,34 @@ func hermitianScatter(z, a []complex128, t *tables) {
 // hermitianScatterScaled is hermitianScatter over the spectrum w[k]·a[k],
 // computing each scaled component inline. A pre-scaling pass would perform
 // the identical multiplies, so the Z values are bit-equal.
-func hermitianScatterScaled(z, a []complex128, w []float64, t *tables) {
+func hermitianScatterScaled(z, a []complex128, w []float64, t *tables, span int) {
 	h := t.n
 	rot := t.rotation()
 	rev := t.rev
-	a0, ah := w[0]*real(a[0]), w[h]*real(a[h])
+	a0, ah := float64(w[0]*real(a[0])), float64(w[h]*real(a[h]))
 	z[0] = complex(a0+ah, a0-ah)
-	for k := 1; k < h-k; k++ {
-		wk, wm := w[k], w[h-k]
-		p, q := wk*real(a[k]), wk*imag(a[k])
-		s, u := wm*real(a[h-k]), wm*imag(a[h-k])
-		rr, ri := real(rot[k]), imag(rot[k])
-		dp := p - s
-		sq := q + u
-		A := rr * dp
-		B := ri * sq
-		C := ri * dp
-		D := rr * sq
-		ps := p + s
-		z[rev[k]] = complex(ps+2*(A+B), (u-q)+2*(C-D))
-		z[rev[h-k]] = complex(ps-2*(A+B), (q-u)+2*(C-D))
+	half := h / 2
+	for l := range span {
+		for k := scatterFirst(l, span); k < half; k += span {
+			wk, wm := w[k], w[h-k]
+			p, q := float64(wk*real(a[k])), float64(wk*imag(a[k]))
+			s, u := float64(wm*real(a[h-k])), float64(wm*imag(a[h-k]))
+			rr, ri := real(rot[k]), imag(rot[k])
+			dp := p - s
+			sq := q + u
+			A := float64(rr * dp)
+			B := float64(ri * sq)
+			C := float64(ri * dp)
+			D := float64(rr * sq)
+			ps := p + s
+			ab, cd := float64(2*(A+B)), float64(2*(C-D))
+			z[rev[k]] = complex(ps+ab, (u-q)+cd)
+			z[rev[h-k]] = complex(ps-ab, (q-u)+cd)
+		}
 	}
 	if h >= 2 {
 		wm := w[h/2]
-		z[rev[h/2]] = complex(2*(wm*real(a[h/2])), 2*(wm*imag(a[h/2])))
+		z[rev[h/2]] = complex(2*float64(wm*real(a[h/2])), 2*float64(wm*imag(a[h/2])))
 	}
 }
 
@@ -413,30 +448,34 @@ func hermitianScatterScaled(z, a []complex128, w []float64, t *tables) {
 // conj(s[k]·g[k]), computing each product bin inline. The per-bin sequence —
 // complex product, then negated imaginary part — matches a separate
 // multiply-conjugate pass, so the Z values are bit-equal.
-func hermitianScatterConjProduct(z, spec, g []complex128, t *tables) {
+func hermitianScatterConjProduct(z, spec, g []complex128, t *tables, span int) {
 	h := t.n
 	rot := t.rotation()
 	rev := t.rev
-	a0, ah := real(spec[0]*g[0]), real(spec[h]*g[h])
+	a0, ah := real(cmul(spec[0], g[0])), real(cmul(spec[h], g[h]))
 	z[0] = complex(a0+ah, a0-ah)
-	for k := 1; k < h-k; k++ {
-		vk := spec[k] * g[k]
-		vm := spec[h-k] * g[h-k]
-		p, q := real(vk), -imag(vk)
-		s, u := real(vm), -imag(vm)
-		rr, ri := real(rot[k]), imag(rot[k])
-		dp := p - s
-		sq := q + u
-		A := rr * dp
-		B := ri * sq
-		C := ri * dp
-		D := rr * sq
-		ps := p + s
-		z[rev[k]] = complex(ps+2*(A+B), (u-q)+2*(C-D))
-		z[rev[h-k]] = complex(ps-2*(A+B), (q-u)+2*(C-D))
+	half := h / 2
+	for l := range span {
+		for k := scatterFirst(l, span); k < half; k += span {
+			vk := cmul(spec[k], g[k])
+			vm := cmul(spec[h-k], g[h-k])
+			p, q := real(vk), -imag(vk)
+			s, u := real(vm), -imag(vm)
+			rr, ri := real(rot[k]), imag(rot[k])
+			dp := p - s
+			sq := q + u
+			A := float64(rr * dp)
+			B := float64(ri * sq)
+			C := float64(ri * dp)
+			D := float64(rr * sq)
+			ps := p + s
+			ab, cd := float64(2*(A+B)), float64(2*(C-D))
+			z[rev[k]] = complex(ps+ab, (u-q)+cd)
+			z[rev[h-k]] = complex(ps-ab, (q-u)+cd)
+		}
 	}
 	if h >= 2 {
-		vm := spec[h/2] * g[h/2]
+		vm := cmul(spec[h/2], g[h/2])
 		z[rev[h/2]] = complex(2*real(vm), 2*(-imag(vm)))
 	}
 }
@@ -470,14 +509,14 @@ func hermitianKernel(out []float64, z []complex128, t *tables) {
 			z[s], z[s+1] = u+v, u-v
 		}
 	}
-	n := len(out)
-	for j := 0; 2*j < n; j++ {
-		v := z[j]
-		out[2*j] = real(v)
-		if 2*j+1 < n {
-			out[2*j+1] = imag(v)
-		}
-	}
+	copy(out, interleaved(z))
+}
+
+// interleaved views z as the float64 sequence Re z[0], Im z[0], Re z[1],
+// …: a complex128 is its real part followed by its imaginary part in
+// memory, so hermitianKernel's unpack is one copy of the same values.
+func interleaved(z []complex128) []float64 {
+	return unsafe.Slice((*float64)(unsafe.Pointer(unsafe.SliceData(z))), 2*len(z))
 }
 
 // hermitianTileStages runs every inverse-kernel stage whose butterfly blocks
@@ -499,16 +538,8 @@ func hermitianTileStages(z []complex128, t *tables, odd bool) int {
 	q := 4
 	if odd && q < tile {
 		// One plain radix-2 stage restores parity for the double stages.
-		stage := t.invStages[2]
-		for start := 0; start < tile; start += 2 * q {
-			xa := z[start : start+q : start+q]
-			xb := z[start+q : start+2*q : start+2*q]
-			for k, w := range stage {
-				u := xa[k]
-				v := xb[k] * w
-				xa[k] = u + v
-				xb[k] = u - v
-			}
+		if !radix2Vec(z, t.invStages[2]) {
+			radix2(z, t.invStages[2])
 		}
 		q <<= 1
 	}
@@ -547,13 +578,13 @@ func radix22(z, u, w []complex128) {
 		x3 := z[start+3*q : start+4*q : start+4*q]
 		for k := 0; k < q; k++ {
 			uk := u[k]
-			b1 := x1[k] * uk
-			b3 := x3[k] * uk
+			b1 := cmul(x1[k], uk)
+			b3 := cmul(x3[k], uk)
 			t0, t1 := x0[k]+b1, x0[k]-b1
 			t2, t3 := x2[k]+b3, x2[k]-b3
 			wk := w[k]
-			v2 := t2 * wk
-			v3 := t3 * wk
+			v2 := cmul(t2, wk)
+			v3 := cmul(t3, wk)
 			iv3 := complex(-imag(v3), real(v3)) // w^{q+k} = i·w^k
 			x0[k] = t0 + v2
 			x2[k] = t0 - v2
@@ -599,7 +630,7 @@ func AutocovarianceKnownMeanInto(dst []float64, x []float64, mean float64, s *Sc
 		a[k] = complex(re*re+im*im, 0)
 	}
 	out := dst[:maxLag+1]
-	hermitianScatter(z, a, t)
+	hermitianScatter(z, a, t, scatterSpan(h))
 	hermitianKernel(out, z, t)
 	// hermitianKernel is unnormalized (a factor of m versus the inverse DFT);
 	// fold that and the biased-estimator 1/n into one scale.

@@ -393,3 +393,46 @@ func TestRealPathZeroAlloc(t *testing.T) {
 		t.Fatalf("RealForward allocates %v/op at steady state, want 0", allocs)
 	}
 }
+
+// TestScatterOrder runs each of the three pair-rotation scatters in its
+// production (blocked) walk and in the natural order, span = 1, over the
+// same inputs and a z prefilled with the same NaN-free junk, for every
+// h = 2..2^16, and requires the same bits everywhere in z: the blocked walk
+// must visit every pair once and compute it the same way.
+func TestScatterOrder(t *testing.T) {
+	r := rng.New(23)
+	for h := 2; h <= 1<<16; h <<= 1 {
+		tb := tablesFor(h)
+		a := make([]complex128, h+1)
+		g := make([]complex128, h+1)
+		w := make([]float64, h+1)
+		for k := range a {
+			a[k] = complex(r.Norm(), r.Norm())
+			g[k] = complex(r.Norm(), r.Norm())
+			w[k] = 1 + r.Float64()
+		}
+		junk := make([]complex128, h)
+		for i := range junk {
+			junk[i] = complex(float64(i), -float64(i))
+		}
+		for _, sc := range []struct {
+			name string
+			run  func(z []complex128, span int)
+		}{
+			{"plain", func(z []complex128, span int) { hermitianScatter(z, a, tb, span) }},
+			{"scaled", func(z []complex128, span int) { hermitianScatterScaled(z, a, w, tb, span) }},
+			{"conj-product", func(z []complex128, span int) { hermitianScatterConjProduct(z, a, g, tb, span) }},
+		} {
+			want := append([]complex128(nil), junk...)
+			got := append([]complex128(nil), junk...)
+			sc.run(want, 1)
+			sc.run(got, scatterSpan(h))
+			for i := range want {
+				if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+					math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+					t.Fatalf("%s h=%d: z[%d] = %v blocked, %v natural order", sc.name, h, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -153,23 +153,44 @@ func (t *tables) apply(x []complex128, stages [][]complex128) {
 // stageRange runs the radix-2 butterfly stages with half-lengths in
 // [from, to) over x, reading per-stage twiddle runs from stages (indexed by
 // log2 of the half-length). Butterfly arithmetic matches apply exactly; the
-// fused real-transform kernels use it for their middle stages.
+// fused real-transform kernels use it for their middle stages. On amd64
+// with AVX2 each stage runs in radix2AVX2, bit for bit; radix2 runs it
+// elsewhere.
 func stageRange(x []complex128, stages [][]complex128, from, to int) {
-	n := len(x)
 	for half, s := from, log2(from); half < to; half, s = half<<1, s+1 {
-		stage := stages[s]
-		length := half << 1
-		for start := 0; start < n; start += length {
-			a := x[start : start+half : start+half]
-			b := x[start+half : start+length : start+length]
-			for k, w := range stage {
-				u := a[k]
-				v := b[k] * w
-				a[k] = u + v
-				b[k] = u - v
-			}
+		if !radix2Vec(x, stages[s]) {
+			radix2(x, stages[s])
 		}
 	}
+}
+
+// radix2 runs one radix-2 stage at half-length q = len(w) over every block
+// of 2q elements of x: a[k], b[k] = a[k] + b[k]·w[k], a[k] − b[k]·w[k]. It
+// is the only implementation off amd64 and without AVX2, and the oracle
+// the vector kernel is tested against.
+func radix2(x, w []complex128) {
+	q := len(w)
+	for start := 0; start < len(x); start += 2 * q {
+		a := x[start : start+q : start+q]
+		b := x[start+q : start+2*q : start+2*q]
+		for k, wk := range w {
+			u := a[k]
+			v := cmul(b[k], wk)
+			a[k] = u + v
+			b[k] = u - v
+		}
+	}
+}
+
+// cmul is the complex128 product x·w in the order Go compiles it on amd64,
+// re = xr·wr − xi·wi and im = xi·wr + xr·wi, with every product rounded
+// before its sum: the conversions forbid the fused multiply-adds other
+// architectures' compilers may form, so the product has the same bits on
+// every architecture and in the vector kernels.
+func cmul(x, w complex128) complex128 {
+	xr, xi := real(x), imag(x)
+	wr, wi := real(w), imag(w)
+	return complex(float64(xr*wr)-float64(xi*wi), float64(xi*wr)+float64(xr*wi))
 }
 
 // tableCacheCap bounds the number of distinct transform sizes whose tables

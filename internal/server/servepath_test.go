@@ -120,10 +120,11 @@ func TestFramesFlushAndFraming(t *testing.T) {
 // frames request through the whole handler stack (middleware, registry,
 // produce loop, encoder), for a small read and one full-chunk-sized read.
 // Without an access log the middleware builds no per-request id, context
-// or attribute map, and every metric child is resolved before the request.
+// or attribute map, and every metric child is resolved before the request;
+// the three frames headers cost two (setFrameHeaders).
 func TestFramesRecordsAllocs(t *testing.T) {
 	s, ts := newTestServer(t, Options{})
-	for _, tc := range []struct{ n, want int }{{4, 10}, {256, 10}} {
+	for _, tc := range []struct{ n, want int }{{4, 8}, {256, 8}} {
 		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
 			info := createStream(t, ts.URL, paperSpec(9))
 			req := httptest.NewRequest("GET", fmt.Sprintf("/v1/streams/%s/frames?n=%d", info.ID, tc.n), nil)

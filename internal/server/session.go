@@ -409,9 +409,7 @@ func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	w.Header().Set("Content-Type", enc.contentType())
-	w.Header().Set("X-Stream-Start", strconv.Itoa(ss.stream.Pos()))
-	w.Header().Set("X-Stream-Seed", strconv.FormatUint(ss.seed, 10))
+	setFrameHeaders(w.Header(), enc, ss.stream.Pos(), ss.seed)
 	flusher, _ := w.(http.Flusher)
 	s.metrics.streamFrames.Observe(float64(n))
 
@@ -515,11 +513,27 @@ const (
 	encRecords                      // length-prefixed x-vbrsim-frames records
 )
 
-func (e frameEncoding) contentType() string {
-	if e == encRecords {
-		return ContentTypeFrames
-	}
-	return "application/x-ndjson"
+// frameContentTypes is each encoding's Content-Type header value, shared by
+// every frames response (net/http only reads header values).
+var frameContentTypes = [...][]string{
+	encNDJSON:  {"application/x-ndjson"},
+	encRecords: {ContentTypeFrames},
+}
+
+// setFrameHeaders writes a frames response's Content-Type, X-Stream-Start
+// and X-Stream-Seed into h under their canonical keys, as Header().Set
+// would. The start and the seed are appended into one stack buffer, made
+// one string and sliced in two, and share one value slice: two allocations
+// per read.
+func setFrameHeaders(h http.Header, enc frameEncoding, start int, seed uint64) {
+	var buf [40]byte
+	b := strconv.AppendInt(buf[:0], int64(start), 10)
+	n := len(b)
+	str := string(strconv.AppendUint(b, seed, 10))
+	vals := []string{str[:n], str[n:]}
+	h["Content-Type"] = frameContentTypes[enc]
+	h["X-Stream-Start"] = vals[:1:1]
+	h["X-Stream-Seed"] = vals[1:]
 }
 
 // append encodes one chunk of frames onto dst.

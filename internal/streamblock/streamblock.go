@@ -354,12 +354,19 @@ func (s *Stream) stitch(sc *refillScratch) {
 //	diff[t] -= sum_{k=1..t} phi[k]*diff[t-k]   for t = len(diff)-1 down to 1,
 //
 // every sum reading the entry values (rows run downward, so the rows a sum
-// reads are still unmodified). It computes four rows per pass over phi, with
-// one accumulator per row summed in ascending k, so each row's result is
-// bit-identical to the row-at-a-time loop; the four rows share each phi load
-// and a sliding window of diff, and their independent sums overlap.
+// reads are still unmodified), each in ascending k. On amd64 with AVX2 the
+// rows run 16 at a time in residualAVX2 (arResidualVec), bit for bit; the
+// rows it leaves run in arResidualFrom.
 func arResidual(diff, phi []float64) {
-	t := len(diff) - 1
+	arResidualFrom(diff, phi, arResidualVec(diff, phi))
+}
+
+// arResidualFrom is arResidual's Go loop over rows t down to 1. It
+// computes four rows per pass over phi, with one accumulator per row summed
+// in ascending k, so each row's result is bit-identical to the
+// row-at-a-time loop; the four rows share each phi load and a sliding
+// window of diff, and their independent sums overlap.
+func arResidualFrom(diff, phi []float64, t int) {
 	for ; t >= 4; t -= 4 {
 		// Rows t, t-1, t-2, t-3. Jointly over k = 1..t-3, row t-j adds
 		// phi[k]*diff[t-j-k]; x0..x3 hold diff[t-k] .. diff[t-k-3].
@@ -368,19 +375,19 @@ func arResidual(diff, phi []float64) {
 		ph := phi[1 : t-2]
 		for k, c := range ph {
 			x3 := diff[t-4-k]
-			a0 += c * x0
-			a1 += c * x1
-			a2 += c * x2
-			a3 += c * x3
+			a0 += float64(c * x0)
+			a1 += float64(c * x1)
+			a2 += float64(c * x2)
+			a3 += float64(c * x3)
 			x0, x1, x2 = x1, x2, x3
 		}
 		// The remaining k of the upper three rows, still in ascending order.
-		a0 += phi[t-2] * diff[2]
-		a0 += phi[t-1] * diff[1]
-		a0 += phi[t] * diff[0]
-		a1 += phi[t-2] * diff[1]
-		a1 += phi[t-1] * diff[0]
-		a2 += phi[t-2] * diff[0]
+		a0 += float64(phi[t-2] * diff[2])
+		a0 += float64(phi[t-1] * diff[1])
+		a0 += float64(phi[t] * diff[0])
+		a1 += float64(phi[t-2] * diff[1])
+		a1 += float64(phi[t-1] * diff[0])
+		a2 += float64(phi[t-2] * diff[0])
 		diff[t] -= a0
 		diff[t-1] -= a1
 		diff[t-2] -= a2
@@ -389,7 +396,7 @@ func arResidual(diff, phi []float64) {
 	for ; t >= 1; t-- {
 		var acc float64
 		for k := 1; k <= t; k++ {
-			acc += phi[k] * diff[t-k]
+			acc += float64(phi[k] * diff[t-k])
 		}
 		diff[t] -= acc
 	}

@@ -21,7 +21,35 @@ echo "== go vet"
 go vet ./...
 # The vector kernels are amd64 assembly; off amd64 the Go loops are the
 # only path, and this keeps that build vetted.
-GOARCH=arm64 go vet ./internal/cpu ./internal/rng ./internal/fft
+GOARCH=arm64 go vet ./internal/cpu ./internal/rng ./internal/fft ./internal/streamblock
+
+echo "== arm64 fused multiply-add scan"
+# The Go loops behind the fft and streamblock vector kernels are the only
+# path off amd64 and the kernels' test oracle, so they must compute the
+# amd64 bits on every architecture. The arm64 compiler fuses x*y+z into one
+# rounding unless an explicit float64() conversion rounds the product, so
+# cross-build both packages' test binaries and require that every one of
+# those loops is present and holds no FMADD/FMSUB/FNMADD/FNMSUB.
+armdir=$(mktemp -d)
+trap 'rm -rf "$armdir"' EXIT
+GOARCH=arm64 go test -c -o "$armdir/fft.test" ./internal/fft
+GOARCH=arm64 go test -c -o "$armdir/streamblock.test" ./internal/streamblock
+go tool objdump -s '^vbrsim/internal/fft\.(stageRange|radix2|radix22|hermitianTileStages|hermitianScatter|hermitianScatterScaled|hermitianScatterConjProduct)$' \
+    "$armdir/fft.test" >"$armdir/fused.txt"
+go tool objdump -s '^vbrsim/internal/streamblock\.(arResidual|arResidualFrom)$' \
+    "$armdir/streamblock.test" >>"$armdir/fused.txt"
+for fn in fft.stageRange fft.radix2 fft.radix22 fft.hermitianTileStages fft.hermitianScatter \
+    fft.hermitianScatterScaled fft.hermitianScatterConjProduct \
+    streamblock.arResidual streamblock.arResidualFrom; do
+    grep -q "^TEXT vbrsim/internal/$fn(SB)" "$armdir/fused.txt" \
+        || { echo "arm64 scan: $fn not found in the test binary" >&2; exit 1; }
+done
+if grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' "$armdir/fused.txt" >&2; then
+    echo "arm64 scan: fused multiply-adds above in the kernels' Go loops" >&2
+    exit 1
+fi
+rm -rf "$armdir"
+trap - EXIT
 
 echo "== go test -race -short"
 go test -race -short ./...
@@ -67,7 +95,7 @@ for check in trunk-determinism trunk-hurst-preservation trunk-mux-gain; do
 done
 
 echo "== perf gates"
-# Host-independent perf gates: exact allocation counts, and four timing
+# Host-independent perf gates: exact allocation counts, and timing
 # ratios taken in one process (both sides interleaved, median of 11 pairs),
 # so they hold on any host where absolute ns/op does not. Serving speed
 # itself is gated by the benchmark/ module under the parent/change
@@ -117,12 +145,18 @@ echo "== perf gates"
 # NormPairs: TestNormPairsRatio (median NormPairs/Norm time of 4096 pairs
 #   <= 0.75) guards the batched normal draw behind every block refill.
 # Vector kernels (amd64 with AVX2; skip elsewhere): TestPolarKernelRatio
-#   (median polarAVX2/polar time over 4096 pairs <= 0.75) and
+#   (median polarAVX2/polar time over 4096 pairs <= 0.75),
 #   TestButterflyKernelRatio (median radix22AVX2/radix22 time of the h = 8192
-#   double stages <= 0.75) guard that each assembly kernel pays for itself.
+#   double stages <= 0.75), TestRadix2KernelRatio (median radix2AVX2/radix2
+#   time over RealForward's middle stages at F = 4096 <= 0.75) and
+#   TestResidualKernelRatio (median AVX2/Go AR residual time at p = 361
+#   <= 0.75) guard that each assembly kernel pays for itself.
+# Block engine: TestBlockVsTruncatedRatio (median time of a block-engine
+#   fill of 2·B frames against the truncated AR(p) recursion's fill of as
+#   many, paper spec, <= 0.13) guards what the block engine is for.
 # The timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio|TestRadix2KernelRatio|TestResidualKernelRatio|TestBlockVsTruncatedRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server ./internal/rng ./internal/core
@@ -142,9 +176,13 @@ go test ./internal/server -run '^$' -fuzz 'FuzzServerOracle' -fuzztime=10s
 # The fused real-FFT forward kernel must stay bit-identical to the
 # unfused reference on arbitrary inputs.
 go test ./internal/fft -run '^$' -fuzz 'FuzzRealForwardVsReference' -fuzztime=5s
-# The AVX2 radix-2² butterflies must stay bit-identical to the Go loop on
-# arbitrary inputs at every table size and stage (skips without AVX2).
+# The AVX2 radix-2² and radix-2 butterflies must stay bit-identical to
+# their Go loops on arbitrary inputs at every table size and stage (skips
+# without AVX2).
 go test ./internal/fft -run '^$' -fuzz 'FuzzButterflyVsScalar' -fuzztime=5s
+# The AR residual (16-row AVX2 kernel, then the four-row Go loop) must stay
+# bit-identical to the row-at-a-time sum at arbitrary orders.
+go test ./internal/streamblock -run '^$' -fuzz 'FuzzResidualVsRows' -fuzztime=5s
 # The batched normal draw must emit exactly the values, and leave exactly
 # the generator state, of the same number of successive Norm calls.
 go test ./internal/rng -run '^$' -fuzz 'FuzzNormPairsVsNorm' -fuzztime=5s
