@@ -97,7 +97,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 	hi := stats.Max(sizes) * 1.001
 	h := stats.NewHistogram(sizes, 0, hi, *bins)
-	if err := writeDat(*prefix+"-hist.dat", stderr, func(f io.Writer) {
+	if err := trace.WriteDat(*prefix+"-hist.dat", stderr, func(f io.Writer) {
 		freqs := h.Frequencies()
 		for i := range freqs {
 			fmt.Fprintf(f, "%g\t%g\n", h.BinCenter(i), freqs[i])
@@ -106,7 +106,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		return err
 	}
 	if errVT == nil {
-		if err := writeDat(*prefix+"-vt.dat", stderr, func(f io.Writer) {
+		if err := trace.WriteDat(*prefix+"-vt.dat", stderr, func(f io.Writer) {
 			for i := range vt.X {
 				fmt.Fprintf(f, "%g\t%g\t%g\n", vt.X[i], vt.Y[i], vt.Slope*vt.X[i]+vt.Intercept)
 			}
@@ -115,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if errRS == nil {
-		if err := writeDat(*prefix+"-rs.dat", stderr, func(f io.Writer) {
+		if err := trace.WriteDat(*prefix+"-rs.dat", stderr, func(f io.Writer) {
 			for i := range rs.X {
 				fmt.Fprintf(f, "%g\t%g\t%g\n", rs.X[i], rs.Y[i], rs.Slope*rs.X[i]+rs.Intercept)
 			}
@@ -123,7 +123,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 	}
-	return writeDat(*prefix+"-acf.dat", stderr, func(f io.Writer) {
+	return trace.WriteDat(*prefix+"-acf.dat", stderr, func(f io.Writer) {
 		for k := 1; k < len(acf); k++ {
 			fmt.Fprintf(f, "%d\t%g\n", k, acf[k])
 		}
@@ -135,17 +135,4 @@ func at(a []float64, k int) float64 {
 		return a[k]
 	}
 	return 0
-}
-
-func writeDat(path string, stderr io.Writer, fill func(io.Writer)) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	fill(f)
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", path)
-	return nil
 }

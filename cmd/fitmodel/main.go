@@ -149,21 +149,15 @@ func run(args []string, stdout, stderr io.Writer) error {
 		}
 	}
 
-	if *transform != "" {
-		f, err := os.Create(*transform)
-		if err != nil {
-			return err
-		}
+	if *transform == "" {
+		return nil
+	}
+	return trace.WriteDat(*transform, stderr, func(f io.Writer) {
 		xs, hs := m.Transform.Table(-6, 6, 240)
 		for i := range xs {
 			fmt.Fprintf(f, "%g\t%g\n", xs[i], hs[i])
 		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "wrote %s\n", *transform)
-	}
-	return nil
+	})
 }
 
 // specName derives a spec name from the input path and frame-type filter.

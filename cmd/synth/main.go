@@ -135,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 }
 
 func writeComparisons(prefix string, stderr io.Writer, emp, syn *trace.Trace, ea, sa []float64) error {
-	if err := writeDat(prefix+"-acf.dat", stderr, func(f io.Writer) {
+	if err := trace.WriteDat(prefix+"-acf.dat", stderr, func(f io.Writer) {
 		for k := 1; k < len(ea) && k < len(sa); k++ {
 			fmt.Fprintf(f, "%d\t%g\t%g\n", k, ea[k], sa[k])
 		}
@@ -145,7 +145,7 @@ func writeComparisons(prefix string, stderr io.Writer, emp, syn *trace.Trace, ea
 	hi := math.Max(stats.Max(emp.Sizes), stats.Max(syn.Sizes)) * 1.001
 	he := stats.NewHistogram(emp.Sizes, 0, hi, 80)
 	hs := stats.NewHistogram(syn.Sizes, 0, hi, 80)
-	if err := writeDat(prefix+"-hist.dat", stderr, func(f io.Writer) {
+	if err := trace.WriteDat(prefix+"-hist.dat", stderr, func(f io.Writer) {
 		fe, fsyn := he.Frequencies(), hs.Frequencies()
 		for i := range fe {
 			fmt.Fprintf(f, "%g\t%g\t%g\n", he.BinCenter(i), fe[i], fsyn[i])
@@ -157,7 +157,7 @@ func writeComparisons(prefix string, stderr io.Writer, emp, syn *trace.Trace, ea
 	if err != nil {
 		return err
 	}
-	return writeDat(prefix+"-qq.dat", stderr, func(f io.Writer) {
+	return trace.WriteDat(prefix+"-qq.dat", stderr, func(f io.Writer) {
 		for i := range qe {
 			fmt.Fprintf(f, "%g\t%g\n", qe[i], qs[i])
 		}
@@ -176,17 +176,4 @@ func parseBackend(name string) (core.Backend, error) {
 		return core.BackendHoskingFast, nil
 	}
 	return 0, fmt.Errorf("unknown -backend %q (want auto, hosking, daviesharte, or hosking-fast)", name)
-}
-
-func writeDat(path string, stderr io.Writer, fill func(io.Writer)) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	fill(f)
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", path)
-	return nil
 }

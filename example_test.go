@@ -6,24 +6,39 @@ import (
 	"vbrsim"
 )
 
-// ExampleFit runs the paper's four-step pipeline on a synthetic trace and
-// reports the structural results.
+// ExampleFit runs the paper's four-step pipeline on a synthetic trace,
+// reports the structural results, and derives the fractional-Brownian
+// parameters that admission control takes from the fitted model.
 func ExampleFit() {
 	tr, err := vbrsim.GenerateMPEGTrace(vbrsim.MPEGTraceConfig{Frames: 1 << 17, Seed: 1})
 	if err != nil {
 		panic(err)
 	}
-	model, err := vbrsim.Fit(tr.ByType(vbrsim.FrameI), vbrsim.FitOptions{Seed: 2})
+	sizes := tr.ByType(vbrsim.FrameI)
+	model, err := vbrsim.Fit(sizes, vbrsim.FitOptions{Seed: 2})
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("long-range dependent:", model.H > 0.5 && model.H < 1)
 	fmt.Println("attenuation in (0,1]:", model.Attenuation > 0 && model.Attenuation <= 1)
 	fmt.Println("composite continuous:", model.Foreground.ContinuityGap() < 1e-9)
+
+	var variance float64
+	for _, v := range sizes {
+		variance += (v - model.MeanRate()) * (v - model.MeanRate())
+	}
+	src, err := vbrsim.NorrosFromModel(model, variance/float64(len(sizes)))
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("fBm mean is the model's:", src.MeanRate == model.MeanRate())
+	fmt.Println("fBm long-range dependent:", src.H > 0.5 && src.H < 1)
 	// Output:
 	// long-range dependent: true
 	// attenuation in (0,1]: true
 	// composite continuous: true
+	// fBm mean is the model's: true
+	// fBm long-range dependent: true
 }
 
 // ExampleGenerateFGN shows exact fractional Gaussian noise generation.

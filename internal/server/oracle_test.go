@@ -33,8 +33,9 @@ import (
 // frames come from an offline twin opened as Spec.Frames opens it (or by
 // trunk.Open) and only ever read forward from frame 0, so seeks, step
 // groups, worker fan-out and chunking on the server are all checked against
-// plain playback. After the last op every session is deleted and the
-// server's books must be back where they started.
+// plain playback. Sessions of one spec and seed share their twin's play.
+// After the last op every session is deleted and the server's books must
+// be back where they started.
 
 // opKind is what one op does.
 type opKind uint8
@@ -193,23 +194,79 @@ func oracleSettings() [][2]int {
 
 // oracleSession is the oracle's model of one session.
 type oracleSession struct {
-	info   SessionInfo // what GET /v1/streams/{id} must answer, Created aside
-	spec   int
-	cost   float64
-	alive  bool
-	twin   frameStream
-	frames []float64 // everything the twin has produced, from frame 0
+	info  SessionInfo // what GET /v1/streams/{id} must answer, Created aside
+	spec  int
+	cost  float64
+	alive bool
+	open  func(context.Context) (frameStream, error) // a new offline twin
 }
 
-// want returns the session's frames [from, from+n), playing the twin
-// forward as far as they reach.
-func (ses *oracleSession) want(from, n int) []float64 {
-	if end := from + n; end > len(ses.frames) {
-		ses.frames = slices.Grow(ses.frames, end-len(ses.frames))
-		ses.twin.Fill(ses.frames[len(ses.frames):end])
-		ses.frames = ses.frames[:end]
+// twinKey names an offline twin: its frames depend on nothing else.
+type twinKey struct {
+	spec int
+	seed uint64
+}
+
+// twinPlay is what one offline twin showed: its order, its ACF error and
+// its frames from frame 0.
+type twinPlay struct {
+	order       int
+	maxACFError float64
+	frames      []float64
+}
+
+// twins keeps each twin's play for the sessions, runs and fuzz inputs
+// after it, which read it instead of playing a twin again. A read past
+// its end plays a new twin from frame 0, at least twice as far, which must
+// agree with the old play. Past maxTwinFrames frames in all, the table
+// starts over.
+var twins struct {
+	sync.Mutex
+	m      map[twinKey]*twinPlay
+	frames int
+}
+
+const maxTwinFrames = 1 << 22
+
+// play returns the play of ses's twin, reaching at least frame end.
+func (o *oracle) play(ses *oracleSession, end int) *twinPlay {
+	key := twinKey{ses.spec, ses.info.Seed}
+	twins.Lock()
+	old := twins.m[key]
+	twins.Unlock()
+	if old != nil && len(old.frames) >= end {
+		return old
 	}
-	return ses.frames[from : from+n]
+	twin, err := ses.open(context.Background())
+	if err != nil {
+		o.failf("offline twin: %v", err)
+	}
+	defer twin.Close()
+	n := end
+	if old != nil {
+		n = max(end, 2*len(old.frames))
+	}
+	tp := &twinPlay{order: twin.Order(), maxACFError: twin.MaxACFError(), frames: make([]float64, n)}
+	twin.Fill(tp.frames)
+	if old != nil && !slices.Equal(tp.frames[:len(old.frames)], old.frames) {
+		o.failf("two offline twins of spec %d seed %d disagree", ses.spec, ses.info.Seed)
+	}
+	twins.Lock()
+	defer twins.Unlock()
+	if twins.m == nil || twins.frames+len(tp.frames) > maxTwinFrames {
+		twins.m, twins.frames = make(map[twinKey]*twinPlay), 0
+	}
+	if cur := twins.m[key]; cur != nil {
+		twins.frames -= len(cur.frames)
+	}
+	twins.m[key] = tp
+	twins.frames += len(tp.frames)
+	return tp
+}
+
+// want returns the session's frames [from, from+n).
+func (o *oracle) want(ses *oracleSession, from, n int) []float64 {
+	return o.play(ses, from+n).frames[from : from+n]
 }
 
 // oracle runs ops against one server and checks each response.
@@ -346,7 +403,6 @@ func (o *oracle) release(ses *oracleSession) {
 		o.open--
 	}
 	ses.alive = false
-	ses.twin.Close()
 }
 
 func (o *oracle) create(p op) {
@@ -355,7 +411,6 @@ func (o *oracle) create(p op) {
 		path = "/v1/streams"
 		body []byte
 		err  error
-		open func(context.Context) (frameStream, error)
 	)
 	if p.spec == specTrunk {
 		spec := testTrunkSpec(ses.info.Seed)
@@ -363,7 +418,7 @@ func (o *oracle) create(p op) {
 		body, err = json.Marshal(&spec)
 		ses.info.Name, ses.info.Kind, ses.info.Sources = cmp.Or(spec.Name, sessionKindTrunk), sessionKindTrunk, spec.NumSources()
 		ses.cost = spec.Cost()
-		open = func(ctx context.Context) (frameStream, error) {
+		ses.open = func(ctx context.Context) (frameStream, error) {
 			spec.Seed = ses.info.Seed
 			return trunk.Open(ctx, &spec, trunk.Options{})
 		}
@@ -372,7 +427,7 @@ func (o *oracle) create(p op) {
 		spec.Seed = ses.info.Seed
 		body, err = json.Marshal(&spec)
 		ses.info.Name, ses.cost = cmp.Or(spec.Name, "stream"), spec.Cost()
-		open = func(ctx context.Context) (frameStream, error) {
+		ses.open = func(ctx context.Context) (frameStream, error) {
 			spec.Seed = ses.info.Seed
 			return spec.OpenCtx(ctx, 0)
 		}
@@ -405,10 +460,8 @@ func (o *oracle) create(p op) {
 		o.nextID++
 		ses.info.ID = "s" + strconv.FormatUint(o.nextID, 10)
 	}
-	if ses.twin, err = open(context.Background()); err != nil {
-		o.failf("offline twin: %v", err)
-	}
-	ses.info.Order, ses.info.MaxACFError = ses.twin.Order(), ses.twin.MaxACFError()
+	tp := o.play(ses, 0)
+	ses.info.Order, ses.info.MaxACFError = tp.order, tp.maxACFError
 	o.all = append(o.all, ses)
 	o.checkInfo(ses, got)
 }
@@ -475,11 +528,11 @@ func (o *oracle) read(ses *oracleSession, p op) {
 		o.send(-1, http.StatusNotFound, "GET", path, nil)
 		return
 	}
-	want, limit := encodeFrames(ses.want(start, p.n), p.records), -1
+	want, limit := encodeFrames(o.want(ses, start, p.n), p.records), -1
 	if p.kind == opDisconnect {
 		limit = frameRecordHeader + 8*streamChunk
 		if !p.records {
-			limit = len(encodeFrames(ses.want(start, streamChunk), false))
+			limit = len(encodeFrames(o.want(ses, start, streamChunk), false))
 		}
 		want = want[:limit]
 	}
@@ -563,7 +616,7 @@ func (o *oracle) step(p op) {
 		}
 		var want []float64
 		if p.include {
-			want = ses.want(pos, p.n)
+			want = o.want(ses, pos, p.n)
 		}
 		if len(res.Frames) != len(want) || (res.Frames == nil) != (want == nil) {
 			o.failf("session %s: step returned %d frames, oracle says %d", ses.info.ID, len(res.Frames), len(want))

@@ -353,9 +353,12 @@ func (s *Server) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 const streamChunk = 1024
 
 // maxSeekAhead caps how far past the session's current position from= may
-// seek in one request. Skipped frames are generated one by one, so the cap
-// bounds the worst-case hidden work a request can demand (a few seconds)
-// while staying far above any real resume gap.
+// seek in one request. The block engine seeks in O(1), but the truncated,
+// gop and tes engines replay every skipped frame (from the seed on a
+// backward seek) while the request holds ss.mu. A truncated seek to 2^22
+// took 2.09 s on a 2-vCPU x86-64 host, so one at the cap is about 8 s of
+// hidden work; the cap bounds it while staying far above any real resume
+// gap.
 const maxSeekAhead = 1 << 24
 
 func (s *Server) handleStreamFrames(w http.ResponseWriter, r *http.Request) {

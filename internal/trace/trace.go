@@ -422,3 +422,25 @@ func (tr *Trace) WriteFile(path string) error {
 	}
 	return f.Close()
 }
+
+// WriteDat writes a plot table to path through a buffer: fill writes the
+// rows, and the first write, flush or close error is returned, so a full
+// disk fails the command instead of leaving a truncated file unnoticed.
+// On success it reports "wrote <path>" on log.
+func WriteDat(path string, log io.Writer, fill func(w io.Writer)) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	fill(bw)
+	err = bw.Flush()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(log, "wrote %s\n", path)
+	return nil
+}

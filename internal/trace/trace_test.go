@@ -2,10 +2,14 @@ package trace
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 	"testing/quick"
 )
@@ -361,5 +365,39 @@ func TestQuickBinaryRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestWriteDat(t *testing.T) {
+	rows := func(w io.Writer) {
+		for k := range 2000 {
+			fmt.Fprintf(w, "%d\t%g\n", k, 1/float64(k+1))
+		}
+	}
+	path := filepath.Join(t.TempDir(), "x.dat")
+	var log bytes.Buffer
+	if err := WriteDat(path, &log, rows); err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	rows(&want)
+	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("file holds %d bytes (%v), want the %d rows' bytes", len(got), err, want.Len())
+	}
+	if log.String() != "wrote "+path+"\n" {
+		t.Errorf("log %q", log.String())
+	}
+
+	// A full device takes the buffered rows and fails the flush; the
+	// error must come back, and nothing may claim the file was written.
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	log.Reset()
+	if err := WriteDat("/dev/full", &log, rows); err == nil || !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("writing to /dev/full: %v, want ENOSPC", err)
+	}
+	if log.Len() != 0 {
+		t.Errorf("a failed write logged %q", log.String())
 	}
 }

@@ -1,10 +1,8 @@
-// Queue-feed adapters: trunks as Lindley-recursion arrival processes.
+// Queue-feed adapter: a trunk as a Lindley-recursion arrival process.
 //
 // PathSource plays a trunk spec into the Monte-Carlo/importance-sampling
-// estimators (one re-keyed aggregate path per replication), and Aggregate
-// superposes arbitrary queue.PathSource components in the exact draw order
-// of queue.Superposition, so examples that hand-rolled superposition can
-// switch without changing a single output bit.
+// estimators (one re-keyed aggregate path per replication). Copies of one
+// queue.PathSource are superposed by queue.Superposition instead.
 package trunk
 
 import (
@@ -13,7 +11,6 @@ import (
 	"sync"
 
 	"vbrsim/internal/modelspec"
-	"vbrsim/internal/queue"
 	"vbrsim/internal/rng"
 )
 
@@ -95,89 +92,3 @@ func (s *PathSource) ArrivalPathInto(r *rng.Source, buf []float64) {
 	t.Fill(buf)
 	s.put(t)
 }
-
-// Component is one weighted group in a path-source Aggregate.
-type Component struct {
-	// Source draws the group's per-replication paths.
-	Source queue.PathSource
-	// Weight scales the group's contribution; 0 means 1.
-	Weight float64
-	// Count replicates the group; 0 means 1. Each replica draws from its
-	// own split rng, exactly as queue.Superposition replicates its base.
-	Count int
-}
-
-// Aggregate superposes heterogeneous PathSource components slot-wise. For
-// each component in order and each replica, it draws one path from
-// r.Split() — the identical draw sequence of queue.Superposition{Base, N}
-// when the aggregate is a single weight-1 component, so ports from
-// hand-rolled superposition reproduce their outputs bit for bit. Aggregate
-// implements queue.PathSourceInto itself and so drops into every estimator.
-type Aggregate struct {
-	Components []Component
-}
-
-// ArrivalPath draws and sums the component paths.
-func (a Aggregate) ArrivalPath(r *rng.Source, k int) []float64 {
-	buf := make([]float64, k)
-	a.ArrivalPathInto(r, buf)
-	return buf
-}
-
-// ArrivalPathInto sums the component paths into buf, routing sources that
-// support buffer reuse through a pooled scratch slice (zero allocations per
-// replication in steady state, however many sources the trunk carries).
-func (a Aggregate) ArrivalPathInto(r *rng.Source, buf []float64) {
-	if len(a.Components) == 0 {
-		panic("trunk: Aggregate with no components")
-	}
-	for j := range buf {
-		buf[j] = 0
-	}
-	k := len(buf)
-	scratch := scratchSlice(k)
-	defer releaseScratch(scratch)
-	for _, c := range a.Components {
-		w := c.Weight
-		if w == 0 {
-			w = 1
-		}
-		count := c.Count
-		if count == 0 {
-			count = 1
-		}
-		into, reuse := c.Source.(queue.PathSourceInto)
-		for rep := 0; rep < count; rep++ {
-			var path []float64
-			if reuse {
-				into.ArrivalPathInto(r.Split(), *scratch)
-				path = *scratch
-			} else {
-				path = c.Source.ArrivalPath(r.Split(), k)
-			}
-			if w == 1 {
-				for j, v := range path {
-					buf[j] += v
-				}
-			} else {
-				for j, v := range path {
-					buf[j] += w * v
-				}
-			}
-		}
-	}
-}
-
-// scratchPool recycles per-replication path buffers across goroutines.
-var scratchPool sync.Pool
-
-func scratchSlice(k int) *[]float64 {
-	if p, ok := scratchPool.Get().(*[]float64); ok && cap(*p) >= k {
-		*p = (*p)[:k]
-		return p
-	}
-	s := make([]float64, k)
-	return &s
-}
-
-func releaseScratch(p *[]float64) { scratchPool.Put(p) }

@@ -8,7 +8,6 @@ import (
 	"vbrsim/internal/modelspec"
 	"vbrsim/internal/queue"
 	"vbrsim/internal/rng"
-	"vbrsim/internal/tes"
 )
 
 // mixedSpec is a heterogeneous trunk exercising every engine and ACF
@@ -361,37 +360,5 @@ func TestPathSourceFeedsQueueEstimator(t *testing.T) {
 	}
 	if est.P < 0 || est.P > 1 || math.IsNaN(est.P) {
 		t.Fatalf("overflow estimate %v out of range", est.P)
-	}
-}
-
-func TestAggregateMatchesQueueSuperposition(t *testing.T) {
-	// The homogeneous single-component Aggregate must reproduce
-	// queue.Superposition draw for draw — the guarantee the example ports
-	// rely on.
-	target, err := (&modelspec.MarginalSpec{Kind: "lognormal", Mu: 9.6, Sigma: 0.4}).Distribution()
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := tes.Source{Cfg: tes.Config{Alpha: 0.4, Zeta: 0.5, Marginal: target}}
-	const n = 8
-	want := queue.Superposition{Base: base, N: n}.ArrivalPath(rng.New(33), 700)
-	got := Aggregate{Components: []Component{{Source: base, Count: n}}}.ArrivalPath(rng.New(33), 700)
-	if !bitsEqual(got, want) {
-		t.Fatal("Aggregate diverged from queue.Superposition")
-	}
-	// Weighted heterogeneous aggregates must equal the hand-rolled sum.
-	r1 := rng.New(9)
-	manual := make([]float64, 300)
-	p1 := base.ArrivalPath(r1.Split(), 300)
-	p2 := base.ArrivalPath(r1.Split(), 300)
-	for j := range manual {
-		manual[j] = p1[j] + 0.25*p2[j]
-	}
-	agg := Aggregate{Components: []Component{
-		{Source: base},
-		{Source: base, Weight: 0.25},
-	}}.ArrivalPath(rng.New(9), 300)
-	if !bitsEqual(agg, manual) {
-		t.Fatal("weighted Aggregate diverged from the hand-rolled sum")
 	}
 }

@@ -255,12 +255,6 @@ type (
 	Trunk = trunk.Trunk
 	// TrunkOptions tunes trunk construction.
 	TrunkOptions = trunk.Options
-	// TrunkAggregate superposes weighted PathSource components in the exact
-	// draw order of Superposition, so ports from hand-rolled superposition
-	// are bit-identical. It drops into every queue estimator.
-	TrunkAggregate = trunk.Aggregate
-	// TrunkComponent is one weighted group in a TrunkAggregate.
-	TrunkComponent = trunk.Component
 )
 
 // OpenTrunk materializes a trunk spec into an aggregate stream.
