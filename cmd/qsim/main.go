@@ -48,7 +48,7 @@ func main() {
 
 // run parses flags, sets up observability, and delegates to qsimRun; split
 // from main for testability.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("qsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -110,11 +110,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			defer f.Close()
+			defer func() {
+				if cerr := f.Close(); cerr != nil && err == nil {
+					err = fmt.Errorf("-trace-out: %w", cerr)
+				}
+			}()
 			tw = f
 		}
 		tracer = obs.NewTracer(tw)
 		ctx = obs.ContextWithTracer(ctx, tracer)
+		defer func() {
+			if terr := tracer.Err(); terr != nil && err == nil {
+				err = fmt.Errorf("-trace-out: %w", terr)
+			}
+		}()
 	}
 	var onProgress func(obs.Convergence)
 	if *progress {
@@ -122,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) error {
 	}
 
 	results := map[string]any{}
-	err := qsimRun(ctx, stdout, qsimFlags{
+	err = qsimRun(ctx, stdout, qsimFlags{
 		in: *in, frameType: *frameType, util: *util, bufNorm: *bufNorm,
 		horizon: *horizon, twist: *twist, reps: *reps, seed: *seed,
 		search: *search, traceDriven: *traceDriven,

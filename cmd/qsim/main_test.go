@@ -3,9 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"vbrsim/internal/mpegtrace"
@@ -225,5 +227,20 @@ func TestRunObservability(t *testing.T) {
 
 	if fi, err := os.Stat(profile); err != nil || fi.Size() == 0 {
 		t.Errorf("cpu profile missing or empty: %v", err)
+	}
+}
+
+// TestRunTraceOutFullDevice streams the stage spans to /dev/full: the run
+// must fail with the write error rather than exit cleanly with the spans
+// lost.
+func TestRunTraceOutFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	path := testTracePath(t)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-i", path, "-util", "0.6", "-buffer", "30", "-reps", "50", "-twist", "1.0", "-trace-out", "/dev/full"}, &stdout, &stderr)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("-trace-out /dev/full: %v, want ENOSPC", err)
 	}
 }

@@ -33,7 +33,7 @@ func main() {
 }
 
 // run executes the tool; split from main for testability.
-func run(args []string, stdout, stderr io.Writer) error {
+func run(args []string, stdout, stderr io.Writer) (err error) {
 	fs := flag.NewFlagSet("synth", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -59,11 +59,20 @@ func run(args []string, stdout, stderr io.Writer) error {
 			if err != nil {
 				return err
 			}
-			defer f.Close()
+			defer func() {
+				if cerr := f.Close(); cerr != nil && err == nil {
+					err = fmt.Errorf("-trace-out: %w", cerr)
+				}
+			}()
 			tw = f
 		}
 		tracer = obs.NewTracer(tw)
 		ctx = obs.ContextWithTracer(ctx, tracer)
+		defer func() {
+			if terr := tracer.Err(); terr != nil && err == nil {
+				err = fmt.Errorf("-trace-out: %w", terr)
+			}
+		}()
 	}
 	backend, err := parseBackend(*backendName)
 	if err != nil {

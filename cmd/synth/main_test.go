@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
 	"vbrsim/internal/mpegtrace"
@@ -79,5 +81,20 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-i", "/missing.bin"}, &stdout, &stderr); err == nil {
 		t.Error("missing file accepted")
+	}
+}
+
+// TestRunTraceOutFullDevice streams the stage spans to /dev/full: the run
+// must fail with the write error rather than exit cleanly with the spans
+// lost.
+func TestRunTraceOutFullDevice(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	path := testTracePath(t)
+	var stdout, stderr bytes.Buffer
+	err := run([]string{"-i", path, "-frames", "8192", "-trace-out", "/dev/full"}, &stdout, &stderr)
+	if !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("-trace-out /dev/full: %v, want ENOSPC", err)
 	}
 }

@@ -407,7 +407,7 @@ func (p *Plan) CondMean(k int, x []float64) float64 {
 	// natural layout) bit-for-bit while both operands stay unit-stride.
 	var m float64
 	for i := k - 1; i >= 0; i-- {
-		m += row[i] * x[i]
+		m += float64(row[i] * x[i])
 	}
 	return m
 }

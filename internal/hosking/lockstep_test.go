@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vbrsim/internal/acf"
+	"vbrsim/internal/cpu"
 	"vbrsim/internal/rng"
 )
 
@@ -75,9 +76,11 @@ func TestFillLockstepMatchesNext(t *testing.T) {
 		{full - 1, full, full + 1, 3 * full},
 		{p, full - 2, 2*full - p, 5},
 		{p, p + 1, p + 2, p + 3, p + 4, p + 5, p + 6, p + 7, 0},
+		{p, p + 1, p + 2, p + 3, p + 4, p + 5, p + 6, p + 7, p + 8},
+		{0, full - 1, full, 2 * full, p, p + 1, 3 * full, p + 9, full + 1, 7, p},
 	}
 	for _, starts := range cases {
-		for _, n := range []int{0, 1, 2, p, full, 3 * p} {
+		for _, n := range []int{0, 1, 2, p, full, 3 * p, laneSeg + 1, 2*laneSeg + p} {
 			checkLockstep(t, tr, 42, starts, n)
 		}
 	}
@@ -105,13 +108,16 @@ func TestFillLockstepRejectsMixedTruncations(t *testing.T) {
 	FillLockstep(gens, [][]float64{make([]float64, 4), make([]float64, 4)})
 }
 
-// FuzzLockstepVsNext drives FillLockstep with 1-9 lanes at independent
-// start positions (spread over warm-up, the order and several window
-// compactions) and n from 0 to 3·order, against successive Next calls.
+// FuzzLockstepVsNext drives FillLockstep with 1 to 2·Lanes+1 generators
+// (full groups, a partial group, a leftover single) at independent start
+// positions (spread over warm-up, the order and several window
+// compactions) and n from 0 to 2·laneSeg+3·order, so the arena shifts its
+// window between passes, against successive Next calls.
 func FuzzLockstepVsNext(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint64(0), uint16(0))
 	f.Add(uint64(7), uint8(3), uint64(0x0123456789abcdef), uint16(100))
 	f.Add(uint64(1<<63), uint8(8), uint64(1<<40-1), uint16(999))
+	f.Add(uint64(5), uint8(16), uint64(42), uint16(laneSeg+3))
 	f.Fuzz(func(t *testing.T, seed uint64, lanes uint8, startBits uint64, n uint16) {
 		tr, err := lockstepTrunc()
 		if err != nil {
@@ -119,7 +125,7 @@ func FuzzLockstepVsNext(f *testing.F) {
 		}
 		p := tr.Order()
 		full := cap(NewTruncatedGenerator(tr, rng.New(1)).buf)
-		starts := make([]int, 1+int(lanes)%9)
+		starts := make([]int, 1+int(lanes)%(2*Lanes+1))
 		r := rng.New(startBits)
 		for i := range starts {
 			// Half the lanes sit within a few steps of the order or of a
@@ -133,13 +139,15 @@ func FuzzLockstepVsNext(f *testing.F) {
 				starts[i] = int(r.Uint64() % uint64(3*full))
 			}
 		}
-		checkLockstep(t, tr, seed, starts, int(n)%(3*p+1))
+		checkLockstep(t, tr, seed, starts, int(n)%(2*laneSeg+3*p+1))
 	})
 }
 
 // BenchmarkTruncatedLanes times Lanes generators past warm-up advanced by
-// Next one after another (serial) and by FillLockstep (lockstep), in
-// ns per sample, on the paper-scale FGN H=0.8 order.
+// Next one after another (serial) and by FillLockstep (lockstep, go and
+// avx2), in ns per sample, on the paper-scale FGN H=0.8 order. lockstep
+// runs whichever lanes kernel the processor takes; go forces the Go loop
+// and avx2, which skips without AVX2, the vector kernel.
 func BenchmarkTruncatedLanes(b *testing.B) {
 	plan, err := NewPlan(benchModel, 2048)
 	if err != nil {
@@ -172,10 +180,62 @@ func BenchmarkTruncatedLanes(b *testing.B) {
 		}
 		report(b)
 	})
-	b.Run("lockstep", func(b *testing.B) {
+	lockstep := func(b *testing.B) {
 		for range b.N {
 			FillLockstep(gens, out)
 		}
 		report(b)
+	}
+	b.Run("lockstep", lockstep)
+	b.Run("go", func(b *testing.B) {
+		defer func(on bool) { cpu.AVX2 = on }(cpu.AVX2)
+		cpu.AVX2 = false
+		lockstep(b)
 	})
+	b.Run("avx2", func(b *testing.B) {
+		if !cpu.AVX2 {
+			b.Skip("CPU lacks AVX2")
+		}
+		lockstep(b)
+	})
+}
+
+// TestFillLockstepConcurrent runs lockstep groups of one truncation from
+// several goroutines at once, so they borrow and return the truncation's
+// arenas concurrently (run it under -race); every group must still match
+// Next.
+func TestFillLockstepConcurrent(t *testing.T) {
+	tr, err := lockstepTrunc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := tr.Order()
+	var wg sync.WaitGroup
+	for w := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := range 8 {
+				seed := uint64(100*w + round)
+				got := make([]*TruncatedGenerator, Lanes)
+				want := make([]*TruncatedGenerator, Lanes)
+				out := make([][]float64, Lanes)
+				for l := range got {
+					got[l] = NewTruncatedGenerator(tr, rng.New(seed+uint64(l)))
+					want[l] = NewTruncatedGenerator(tr, rng.New(seed+uint64(l)))
+					out[l] = make([]float64, p+laneSeg)
+				}
+				FillLockstep(got, out)
+				for l, g := range want {
+					for k, x := range out[l] {
+						if y := g.Next(); math.Float64bits(x) != math.Float64bits(y) {
+							t.Errorf("goroutine %d round %d: lane %d sample %d = %v, Next %v", w, round, l, k, x, y)
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

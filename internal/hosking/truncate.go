@@ -22,6 +22,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 
 	"vbrsim/internal/acf"
 	"vbrsim/internal/rng"
@@ -76,6 +78,13 @@ type Truncated struct {
 	maxErr float64 // measured max |implied ACF - target ACF| over lags (p, plan length)
 
 	derived memo // state other packages precompute from this truncation
+
+	// Idle lockstep arenas (laneArena), lent to FillLockstep groups: the
+	// first lockstep fill takes one, never an open. A mutex and a slice
+	// rather than a sync.Pool, whose race-build drops would allocate in
+	// steady state.
+	arenaMu sync.Mutex
+	arenas  []*laneArena
 }
 
 // withDefaults fills the zero fields, so equivalent options share one cache
@@ -360,9 +369,11 @@ func (g *TruncatedGenerator) Next() float64 {
 	t := g.t
 	k := g.pos
 	var x float64
+	// Every product is rounded before its add (float64(x*y)), which keeps
+	// a compiler that fuses multiply-adds, arm64's, on the amd64 bits.
 	if k < t.order {
 		m := t.head.CondMean(k, g.buf)
-		x = m + math.Sqrt(t.head.v[k])*g.rng.Norm()
+		x = m + float64(math.Sqrt(t.head.v[k])*g.rng.Norm())
 	} else {
 		if len(g.buf) == cap(g.buf) {
 			n := copy(g.buf, g.buf[len(g.buf)-t.order:])
@@ -372,19 +383,14 @@ func (g *TruncatedGenerator) Next() float64 {
 		row := t.row
 		var m float64
 		for i := t.order - 1; i >= 0; i-- {
-			m += row[i] * h[i]
+			m += float64(row[i] * h[i])
 		}
-		x = m + t.sqrtV*g.rng.Norm()
+		x = m + float64(t.sqrtV*g.rng.Norm())
 	}
 	g.buf = append(g.buf, x)
 	g.pos++
 	return x
 }
-
-// Lanes is how many generators FillLockstep advances per pass over the
-// frozen row: four independent accumulators keep the floating-point adder
-// busy where Next's single chain waits on its latency.
-const Lanes = 4
 
 // FillLockstep fills out[i] with the next len(out[i]) samples of gens[i],
 // for every i: the same values, and the same generator state afterwards
@@ -394,11 +400,12 @@ const Lanes = 4
 //
 // Next's conditional mean beyond the order is one dependent chain of p
 // adds, so it runs at add latency. The chains of different generators are
-// independent, so FillLockstep runs Lanes of them in lockstep: one pass over
-// the row advances Lanes accumulators, each summed in exactly Next's order,
-// which keeps every sample bit-identical. Warm-up steps (pos < order), the
-// steps a group's longer lanes take past its shortest, and the generators
-// left over after the last full group of Lanes go through Next.
+// independent, so FillLockstep runs groups of up to Lanes of them in
+// lockstep over an interleaved arena (lanes): one pass over the row
+// advances every lane, each summed in exactly Next's order, which keeps
+// every sample bit-identical. Warm-up steps (pos < order), the steps a
+// group's longer lanes take past its shortest, and a group of one go
+// through Next.
 func FillLockstep(gens []*TruncatedGenerator, out [][]float64) {
 	if len(gens) != len(out) {
 		panic("hosking: FillLockstep needs one output per generator")
@@ -416,13 +423,13 @@ func FillLockstep(gens []*TruncatedGenerator, out [][]float64) {
 			}
 			common = min(common, len(o[i])-done[i])
 		}
-		if len(g) == Lanes && common > 0 {
+		if len(g) > 1 && common > 0 {
 			var lane [Lanes][]float64
-			for i := range lane {
+			for i := range g {
 				lane[i] = o[i][done[i] : done[i]+common]
 				done[i] += common
 			}
-			lockstep((*[Lanes]*TruncatedGenerator)(g), &lane)
+			g[0].t.lockstep(g, lane[:len(g)])
 		}
 		for i, gi := range g {
 			for ; done[i] < len(o[i]); done[i]++ {
@@ -432,54 +439,106 @@ func FillLockstep(gens []*TruncatedGenerator, out [][]float64) {
 	}
 }
 
-// lockstep advances Lanes generators, all past warm-up, by len(out[0])
-// steps each (every out has that length), writing lane i's samples to
-// out[i]. Each lane compacts its window exactly where Next would: at the
-// start of a step whose window is full.
-func lockstep(g *[Lanes]*TruncatedGenerator, out *[Lanes][]float64) {
-	t := g[0].t
-	row := t.row[:t.order]
-	sqrtV := t.sqrtV
+// lockstep advances 2..Lanes generators, all past warm-up, by len(out[0])
+// steps each (every out has that length), writing lane l's samples to
+// out[l]. It loads each window into a borrowed arena, runs the steps there
+// laneSeg at a time, each lane drawing a pass's innovations in one
+// NormPairs (the values and rng state of as many Norm calls), and leaves
+// each generator where Next would.
+func (t *Truncated) lockstep(g []*TruncatedGenerator, out [][]float64) {
+	p := t.order
+	a := t.borrowArena()
+	h := a.h
+	for l := range Lanes {
+		if l < len(g) {
+			for r, x := range g[l].buf[len(g[l].buf)-p:] {
+				h[r][l] = x
+			}
+		} else {
+			for r := range h {
+				h[r][l] = 0
+			}
+		}
+	}
 	n := len(out[0])
 	for k := 0; k < n; {
-		seg := n - k
-		for _, gi := range g {
-			if len(gi.buf) == cap(gi.buf) {
-				gi.buf = gi.buf[:copy(gi.buf, gi.buf[len(gi.buf)-t.order:])]
+		seg := min(n-k, laneSeg)
+		inno := h[p : p+seg]
+		for l, gi := range g {
+			z := a.z[:seg/2]
+			gi.rng.NormPairs(z)
+			for j, c := range z {
+				inno[2*j][l] = float64(t.sqrtV * real(c))
+				inno[2*j+1][l] = float64(t.sqrtV * imag(c))
 			}
-			seg = min(seg, cap(gi.buf)-len(gi.buf))
-		}
-		// Within the segment no window fills, so the appends below never
-		// reallocate.
-		b0, b1, b2, b3 := g[0].buf, g[1].buf, g[2].buf, g[3].buf
-		o0, o1, o2, o3 := out[0][k:k+seg], out[1][k:k+seg], out[2][k:k+seg], out[3][k:k+seg]
-		for j := range o0 {
-			h0 := b0[len(b0)-len(row):]
-			h1 := b1[len(b1)-len(row):]
-			h2 := b2[len(b2)-len(row):]
-			h3 := b3[len(b3)-len(row):]
-			h0, h1, h2, h3 = h0[:len(row)], h1[:len(row)], h2[:len(row)], h3[:len(row)]
-			var m0, m1, m2, m3 float64
-			for i := len(row) - 1; i >= 0; i-- {
-				r := row[i]
-				m0 += r * h0[i]
-				m1 += r * h1[i]
-				m2 += r * h2[i]
-				m3 += r * h3[i]
+			if seg&1 != 0 {
+				inno[seg-1][l] = float64(t.sqrtV * gi.rng.Norm())
 			}
-			x0 := m0 + sqrtV*g[0].rng.Norm()
-			x1 := m1 + sqrtV*g[1].rng.Norm()
-			x2 := m2 + sqrtV*g[2].rng.Norm()
-			x3 := m3 + sqrtV*g[3].rng.Norm()
-			b0, b1, b2, b3 = append(b0, x0), append(b1, x1), append(b2, x2), append(b3, x3)
-			o0[j], o1[j], o2[j], o3[j] = x0, x1, x2, x3
 		}
-		g[0].buf, g[1].buf, g[2].buf, g[3].buf = b0, b1, b2, b3
-		for _, gi := range g {
-			gi.pos += seg
+		lanes(h, t.row, seg, len(g))
+		for l := range g {
+			o := out[l][k : k+seg]
+			for j := range o {
+				o[j] = inno[j][l]
+			}
 		}
 		k += seg
+		if k < n {
+			copy(h, h[seg:seg+p])
+		}
 	}
+	for l, gi := range g {
+		gi.follow(out[l])
+	}
+	t.giveBackArena(a)
+}
+
+// follow records x, the next len(x) samples, as len(x) Next calls would:
+// the position advances, and the window, compacted to its last p samples
+// at every step that finds it full, ends with x.
+func (g *TruncatedGenerator) follow(x []float64) {
+	p, c, l, n := g.t.order, cap(g.buf), len(g.buf), len(x)
+	g.pos += n
+	if l+n <= c {
+		g.buf = append(g.buf, x...)
+		return
+	}
+	// The window fills after c-l steps; every c-p steps after that one
+	// finds it full and keeps p, so it ends holding p+1 .. c samples.
+	keep := p + (n-(c-l)-1)%(c-p) + 1
+	buf := g.buf[:keep]
+	if keep > n {
+		copy(buf, g.buf[l-(keep-n):l])
+		copy(buf[keep-n:], x)
+	} else {
+		copy(buf, x[n-keep:])
+	}
+	g.buf = buf
+}
+
+// borrowArena lends a lockstep arena, an idle one when there is one.
+func (t *Truncated) borrowArena() *laneArena {
+	t.arenaMu.Lock()
+	if n := len(t.arenas); n > 0 {
+		a := t.arenas[n-1]
+		t.arenas[n-1] = nil
+		t.arenas = t.arenas[:n-1]
+		t.arenaMu.Unlock()
+		return a
+	}
+	t.arenaMu.Unlock()
+	return &laneArena{h: make([][Lanes]float64, t.order+laneSeg)}
+}
+
+// giveBackArena returns a borrowed arena to the free list, or drops it to
+// the collector when GOMAXPROCS arenas are already idle: a group holds one
+// only while it runs, so that many cover every group that can run at once.
+func (t *Truncated) giveBackArena(a *laneArena) {
+	t.arenaMu.Lock()
+	if len(t.arenas) < runtime.GOMAXPROCS(0) {
+		t.arenas = append(t.arenas, a)
+	}
+	t.arenaMu.Unlock()
 }
 
 // Pos returns how many samples have been generated so far.

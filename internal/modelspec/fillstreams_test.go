@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"vbrsim/internal/cpu"
 	"vbrsim/internal/hosking"
 )
 
@@ -76,8 +77,9 @@ func TestFillStreamsMatchesFill(t *testing.T) {
 	}
 }
 
-// TestFillStreamsZeroAlloc pins a warm four-lane FillStreams at 0
-// allocations: the lane arrays stay on the stack.
+// TestFillStreamsZeroAlloc pins a warm FillStreams of one lane group at 0
+// allocations: the lane arrays stay on the stack, and the arena is the
+// truncation's idle one.
 func TestFillStreamsZeroAlloc(t *testing.T) {
 	sts := make([]*Stream, hosking.Lanes)
 	out := make([][]float64, hosking.Lanes)
@@ -98,8 +100,11 @@ func TestFillStreamsZeroAlloc(t *testing.T) {
 // each of 8 twins at the same seeds, 256 frames per stream past warm-up,
 // alternate (which side runs first alternates too) for 11 pairs, each side
 // the fastest of 3. The median lockstep/serial time ratio must stay
-// <= 0.75; it reads about 0.4-0.6 on a 2-vCPU Xeon. It is a same-process
-// ratio, so it holds on any host where the absolute times do not.
+// <= 0.75. On a 2-vCPU Xeon it reads about 0.2-0.25 with the AVX2 lanes
+// kernel, and 0.4-0.6 with the Go loop, which the test also times (and
+// gates) with cpu.AVX2 forced false where the processor has AVX2. It is a
+// same-process ratio, so it holds on any host where the absolute times do
+// not.
 func TestStepLockstepRatio(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
@@ -141,21 +146,31 @@ func TestStepLockstepRatio(t *testing.T) {
 		fillLanes()
 		fillSerial()
 	}
-	ratios := make([]float64, pairs)
-	for p := range ratios {
-		var dl, ds time.Duration
-		if p%2 == 0 {
-			dl, ds = fillLanes(), fillSerial()
-		} else {
-			ds, dl = fillSerial(), fillLanes()
+	gate := func(kernel string) {
+		ratios := make([]float64, pairs)
+		for p := range ratios {
+			var dl, ds time.Duration
+			if p%2 == 0 {
+				dl, ds = fillLanes(), fillSerial()
+			} else {
+				ds, dl = fillSerial(), fillLanes()
+			}
+			ratios[p] = float64(dl) / float64(ds)
 		}
-		ratios[p] = float64(dl) / float64(ds)
+		sort.Float64s(ratios)
+		t.Logf("%s lanes: lockstep/serial time ratios (sorted): %.3f", kernel, ratios)
+		if med := ratios[pairs/2]; med > 0.75 {
+			t.Errorf("%s lanes: median lockstep/serial time ratio %.3f, want <= 0.75", kernel, med)
+		}
 	}
-	sort.Float64s(ratios)
-	t.Logf("lockstep/serial time ratios (sorted): %.3f", ratios)
-	if med := ratios[pairs/2]; med > 0.75 {
-		t.Errorf("median lockstep/serial time ratio %.3f, want <= 0.75", med)
+	if !cpu.AVX2 {
+		gate("go")
+		return
 	}
+	gate("avx2")
+	defer func() { cpu.AVX2 = true }()
+	cpu.AVX2 = false
+	gate("go")
 }
 
 // BenchmarkStreamStepLockstep times one FillStreams of the 32 truncated

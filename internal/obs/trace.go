@@ -18,6 +18,7 @@ import (
 type Tracer struct {
 	mu     sync.Mutex
 	w      io.Writer // nil: collect-only (manifest rollup without a stream)
+	err    error     // the stream's first write error
 	start  time.Time
 	retain bool // keep spans and events for Manifest
 	spans  []SpanRecord
@@ -93,14 +94,7 @@ func (s *Span) End(attrs map[string]any) {
 	if t.retain {
 		t.spans = append(t.spans, rec)
 	}
-	w := t.w
-	if w != nil {
-		b, err := json.Marshal(rec)
-		if err == nil {
-			b = append(b, '\n')
-			w.Write(b)
-		}
-	}
+	t.write(rec)
 	t.mu.Unlock()
 }
 
@@ -119,14 +113,35 @@ func (t *Tracer) Event(kind string, attrs map[string]any) {
 	if t.retain {
 		t.events = append(t.events, rec)
 	}
-	if t.w != nil {
-		b, err := json.Marshal(rec)
-		if err == nil {
-			b = append(b, '\n')
-			t.w.Write(b)
-		}
-	}
+	t.write(rec)
 	t.mu.Unlock()
+}
+
+// write streams rec as one NDJSON line if the tracer has a writer, and
+// keeps the first write error for Err. The caller holds mu.
+func (t *Tracer) write(rec any) {
+	if t.w == nil {
+		return
+	}
+	b, err := json.Marshal(rec)
+	if err != nil {
+		return
+	}
+	if _, err := t.w.Write(append(b, '\n')); err != nil && t.err == nil {
+		t.err = err
+	}
+}
+
+// Err returns the first error writing the stream, or nil. A command that
+// streams spans to a file reports it, so spans lost to a full disk fail
+// the run rather than leave a silently truncated file. Nil-safe.
+func (t *Tracer) Err() error {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.err
 }
 
 // sanitizeAttrs replaces non-finite floats, which encoding/json rejects,

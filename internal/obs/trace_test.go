@@ -4,7 +4,10 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
 	"strings"
+	"syscall"
 	"testing"
 )
 
@@ -113,5 +116,37 @@ func TestManifestRollup(t *testing.T) {
 	}
 	if !strings.Contains(string(b), `"stages"`) {
 		t.Fatalf("manifest JSON missing stages: %s", b)
+	}
+}
+
+// TestTracerKeepsFirstWriteError streams spans to /dev/full, where every
+// write fails with ENOSPC: Err must report that error, and a tracer whose
+// writes succeed reports none.
+func TestTracerKeepsFirstWriteError(t *testing.T) {
+	var buf strings.Builder
+	ok := NewTracer(&buf)
+	ok.Start("plan").End(nil)
+	if err := ok.Err(); err != nil || buf.Len() == 0 {
+		t.Fatalf("tracer into a buffer: Err %v, %d bytes", err, buf.Len())
+	}
+	if (*Tracer)(nil).Err() != nil {
+		t.Fatal("nil tracer reports an error")
+	}
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full")
+	}
+	f, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr := NewTracer(f)
+	tr.Start("plan").End(nil)
+	tr.Event("par.run", map[string]any{"workers": 4})
+	if err := tr.Err(); !errors.Is(err, syscall.ENOSPC) {
+		t.Fatalf("spans to /dev/full: Err %v, want ENOSPC", err)
+	}
+	if got := len(tr.Manifest("t", nil, 0, nil, nil).Stages); got != 1 {
+		t.Errorf("manifest keeps %d spans after the failed writes, want 1", got)
 	}
 }

@@ -25,24 +25,29 @@ go vet ./...
 GOARCH=arm64 go vet ./...
 
 echo "== arm64 fused multiply-add scan"
-# The Go loops behind the fft and streamblock vector kernels are the only
-# path off amd64 and the kernels' test oracle, so they must compute the
-# amd64 bits on every architecture. The arm64 compiler fuses x*y+z into one
+# The Go loops behind the fft, streamblock and hosking vector kernels are
+# the only path off amd64 and the kernels' test oracle, so they must compute
+# the amd64 bits on every architecture; so must TruncatedGenerator.Next,
+# the lanes' bit reference. The arm64 compiler fuses x*y+z into one
 # rounding unless an explicit float64() conversion rounds the product, so
-# cross-build both packages' test binaries and require that every one of
-# those loops is present and holds no FMADD/FMSUB/FNMADD/FNMSUB.
+# cross-build the packages' test binaries and require that every one of
+# those functions is present and holds no FMADD/FMSUB/FNMADD/FNMSUB.
 armdir=$(mktemp -d)
 trap 'rm -rf "$armdir"' EXIT
 GOARCH=arm64 go test -c -o "$armdir/fft.test" ./internal/fft
 GOARCH=arm64 go test -c -o "$armdir/streamblock.test" ./internal/streamblock
+GOARCH=arm64 go test -c -o "$armdir/hosking.test" ./internal/hosking
 go tool objdump -s '^vbrsim/internal/fft\.(stageRange|radix2|radix22|hermitianTileStages|hermitianScatter|hermitianScatterScaled|hermitianScatterConjProduct)$' \
     "$armdir/fft.test" >"$armdir/fused.txt"
 go tool objdump -s '^vbrsim/internal/streamblock\.(arResidual|arResidualFrom)$' \
     "$armdir/streamblock.test" >>"$armdir/fused.txt"
+go tool objdump -s '^vbrsim/internal/hosking\.(\(\*TruncatedGenerator\)\.Next|lanesGo)$' \
+    "$armdir/hosking.test" >>"$armdir/fused.txt"
 for fn in fft.stageRange fft.radix2 fft.radix22 fft.hermitianTileStages fft.hermitianScatter \
     fft.hermitianScatterScaled fft.hermitianScatterConjProduct \
-    streamblock.arResidual streamblock.arResidualFrom; do
-    grep -q "^TEXT vbrsim/internal/$fn(SB)" "$armdir/fused.txt" \
+    streamblock.arResidual streamblock.arResidualFrom \
+    'hosking.(*TruncatedGenerator).Next' hosking.lanesGo; do
+    grep -qF "TEXT vbrsim/internal/$fn(SB)" "$armdir/fused.txt" \
         || { echo "arm64 scan: $fn not found in the test binary" >&2; exit 1; }
 done
 if grep -E '[[:space:]]F(N)?M(ADD|SUB)[DS][[:space:]]' "$armdir/fused.txt" >&2; then
@@ -110,8 +115,8 @@ echo "== perf gates"
 #   benchdiff StreamTruncatedFill/16384 -> step-fleet frames_per_s;
 #     TestStreamFillZeroAlloc, TestForChunksInlineZeroAlloc
 #   StreamStepAffinity -> step-fleet frames_per_s; TestStepLockstepRatio
-#     (median lockstep/serial time of 8 truncated streams <= 0.75),
-#     TestFillStreamsZeroAlloc
+#     (median lockstep/serial time of 8 truncated streams <= 0.75, with the
+#     AVX2 lanes kernel and again with the Go loop), TestFillStreamsZeroAlloc
 #   benchdiff TrunkFillSerial/s=64 -> TestTrunkFillZeroAllocSteadyState,
 #     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
@@ -151,14 +156,16 @@ echo "== perf gates"
 #   double stages <= 0.75), TestRadix2KernelRatio (median radix2AVX2/radix2
 #   time over RealForward's middle stages at F = 4096 <= 0.75) and
 #   TestResidualKernelRatio (median AVX2/Go AR residual time at p = 361
-#   <= 0.75) guard that each assembly kernel pays for itself.
+#   <= 0.75) and TestLanesKernelRatio (median AVX2/Go time of one 8-lane
+#   truncated-AR arena pass at p = 361 <= 0.5) guard that each assembly
+#   kernel pays for itself.
 # Block engine: TestBlockVsTruncatedRatio (median time of a block-engine
 #   fill of 2·B frames against the truncated AR(p) recursion's fill of as
 #   many, paper spec, <= 0.13) guards what the block engine is for.
 # The timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio|TestRadix2KernelRatio|TestResidualKernelRatio|TestBlockVsTruncatedRatio)$' \
-    ./internal/daviesharte ./internal/fft ./internal/streamblock \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio|TestRadix2KernelRatio|TestResidualKernelRatio|TestLanesKernelRatio|TestBlockVsTruncatedRatio)$' \
+    ./internal/daviesharte ./internal/fft ./internal/streamblock ./internal/hosking \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
     ./internal/server ./internal/rng ./internal/core
 
@@ -201,6 +208,9 @@ go test ./internal/rng -run '^$' -fuzz 'FuzzNormPairsVsNorm' -fuzztime=5s
 # The lockstep truncated-AR lanes must emit exactly the values, and leave
 # exactly the generator state, of successive Next calls on each lane.
 go test ./internal/hosking -run '^$' -fuzz 'FuzzLockstepVsNext' -fuzztime=5s
+# The AVX2 lanes kernel must stay bit-identical to its Go loop on arbitrary
+# arenas, edge values included, at every order (skips without AVX2).
+go test ./internal/hosking -run '^$' -fuzz 'FuzzLanesKernelVsGo' -fuzztime=5s
 
 echo "== trafficd smoke test"
 # Start the daemon on an ephemeral port, hit /healthz and a 100-frame
