@@ -80,6 +80,30 @@ func goldenSources(ctx context.Context) (map[string][]float64, error) {
 		return nil, err
 	}
 	out["stream_gop"] = gopFrames
+	// The exact transform's batch path dispatches on the marginal: a normal
+	// target takes the vector kernel (as the paper's lognormal does), a gamma
+	// target keeps the per-frame Apply loop, and a TES session never runs
+	// the exact transform at all.
+	for name, m := range map[string]*modelspec.MarginalSpec{
+		"stream_normal": {Kind: "normal", Mu: 15000, Sigma: 6000},
+		"stream_gamma":  {Kind: "gamma", Shape: 6.25, Scale: 2400},
+	} {
+		s := modelspec.Paper()
+		s.Seed = goldenSeed
+		s.Marginal = m
+		if out[name], err = s.Frames(ctx, 0, goldenFrames, 0); err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+	}
+	tesSpec := modelspec.Spec{
+		Seed:     goldenSeed,
+		Engine:   modelspec.EngineTES,
+		TES:      &modelspec.TESSpec{Alpha: 0.3},
+		Marginal: modelspec.Paper().Marginal,
+	}
+	if out["stream_tes"], err = tesSpec.Frames(ctx, 0, goldenFrames, 0); err != nil {
+		return nil, err
+	}
 	return out, nil
 }
 

@@ -1,6 +1,6 @@
 package cpu
 
-func init() { AVX2 = detectAVX2() }
+func init() { AVX2, FMA = detectAVX2(), detectFMA() }
 
 // cpuid executes CPUID with the given leaf (EAX) and subleaf (ECX).
 func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
@@ -28,4 +28,17 @@ func detectAVX2() bool {
 	}
 	_, ebx7, _, _ := cpuid(7, 0)
 	return ebx7&(1<<5) != 0
+}
+
+// detectFMA reads CPUID.1:ECX bit 12 (FMA) under the same OSXSAVE, AVX and
+// XCR0 checks as detectAVX2, the condition the runtime's internal/cpu
+// applies to its HasFMA.
+func detectFMA() bool {
+	_, _, ecx1, _ := cpuid(1, 0)
+	const fma, osxsave, avx = 1 << 12, 1 << 27, 1 << 28
+	if ecx1&fma == 0 || ecx1&osxsave == 0 || ecx1&avx == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
 }

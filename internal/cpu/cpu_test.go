@@ -10,10 +10,16 @@ import (
 // TestAVX2MatchesProcCPUInfo cross-checks the CPUID detection against the
 // flags Linux reports, where /proc/cpuinfo exists: the kernel lists avx2
 // only when the processor has it and it saves the YMM state.
-func TestAVX2MatchesProcCPUInfo(t *testing.T) {
+func TestAVX2MatchesProcCPUInfo(t *testing.T) { matchProcCPUInfo(t, "avx2", AVX2) }
+
+// TestFMAMatchesProcCPUInfo does the same for fma, which Linux lists only
+// when the processor has FMA3 and the YMM state is saved.
+func TestFMAMatchesProcCPUInfo(t *testing.T) { matchProcCPUInfo(t, "fma", FMA) }
+
+func matchProcCPUInfo(t *testing.T, flag string, got bool) {
 	if runtime.GOARCH != "amd64" {
-		if AVX2 {
-			t.Fatalf("AVX2 = true on %s", runtime.GOARCH)
+		if got {
+			t.Fatalf("%s = true on %s", flag, runtime.GOARCH)
 		}
 		return
 	}
@@ -28,10 +34,10 @@ func TestAVX2MatchesProcCPUInfo(t *testing.T) {
 		}
 		want := false
 		for _, f := range strings.Fields(flags) {
-			want = want || f == "avx2"
+			want = want || f == flag
 		}
-		if AVX2 != want {
-			t.Fatalf("AVX2 = %v, /proc/cpuinfo lists avx2: %v", AVX2, want)
+		if got != want {
+			t.Fatalf("detected %s = %v, /proc/cpuinfo lists it: %v", flag, got, want)
 		}
 		return
 	}

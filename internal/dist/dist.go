@@ -52,7 +52,7 @@ func (n Normal) CDF(x float64) float64 {
 // Quantile returns the Gaussian quantile using Acklam's rational
 // approximation refined by one Halley step, accurate to ~1e-15.
 func (n Normal) Quantile(p float64) float64 {
-	return n.Mu + n.Sigma*stdNormalQuantile(p)
+	return n.Mu + float64(n.Sigma*stdNormalQuantile(p))
 }
 
 // Sample draws from N(Mu, Sigma^2).
@@ -61,7 +61,14 @@ func (n Normal) Sample(r *rng.Source) float64 { return n.Mu + n.Sigma*r.Norm() }
 // Mean returns Mu.
 func (n Normal) Mean() float64 { return n.Mu }
 
-// stdNormalQuantile computes Phi^{-1}(p) for p in (0,1).
+// mulAdd returns x*y + z with the product rounded before the add, as amd64
+// computes it: the conversion keeps a compiler that fuses multiply-adds
+// (arm64's does) from rounding the two once.
+func mulAdd(x, y, z float64) float64 { return float64(x*y) + z }
+
+// stdNormalQuantile computes Phi^{-1}(p) for p in (0,1). It is the bit
+// oracle of internal/transform's vector kernel, so every multiply-add
+// rounds its product first (mulAdd) on every architecture.
 func stdNormalQuantile(p float64) float64 {
 	if p <= 0 {
 		return math.Inf(-1)
@@ -103,22 +110,22 @@ func stdNormalQuantile(p float64) float64 {
 	switch {
 	case p < pLow:
 		q := math.Sqrt(-2 * math.Log(p))
-		x = (((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+		x = mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(c1, q, c2), q, c3), q, c4), q, c5), q, c6) /
+			mulAdd(mulAdd(mulAdd(mulAdd(d1, q, d2), q, d3), q, d4), q, 1)
 	case p <= pHigh:
 		q := p - 0.5
 		r := q * q
-		x = (((((a1*r+a2)*r+a3)*r+a4)*r+a5)*r + a6) * q /
-			(((((b1*r+b2)*r+b3)*r+b4)*r+b5)*r + 1)
+		x = mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(a1, r, a2), r, a3), r, a4), r, a5), r, a6) * q /
+			mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(b1, r, b2), r, b3), r, b4), r, b5), r, 1)
 	default:
 		q := math.Sqrt(-2 * math.Log(1-p))
-		x = -(((((c1*q+c2)*q+c3)*q+c4)*q+c5)*q + c6) /
-			((((d1*q+d2)*q+d3)*q+d4)*q + 1)
+		x = -mulAdd(mulAdd(mulAdd(mulAdd(mulAdd(c1, q, c2), q, c3), q, c4), q, c5), q, c6) /
+			mulAdd(mulAdd(mulAdd(mulAdd(d1, q, d2), q, d3), q, d4), q, 1)
 	}
 	// One Halley refinement using the exact CDF.
-	e := 0.5*math.Erfc(-x/math.Sqrt2) - p
+	e := float64(0.5*math.Erfc(-x/math.Sqrt2)) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(x*x/2)
-	x = x - u/(1+x*u/2)
+	x = x - u/(1+float64(x*u/2))
 	return x
 }
 

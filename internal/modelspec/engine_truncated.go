@@ -37,11 +37,14 @@ type truncSource struct {
 	gen *hosking.TruncatedGenerator
 }
 
+// Fill draws the chunk's Gaussian background and then maps it through the
+// transform in one ApplyTo call, as FillStreams does: Apply is pure, so
+// the frames are those of a per-frame Apply(Next()) loop.
 func (s *truncSource) Fill(out []float64) {
-	tr := s.st.g.tr
 	for i := range out {
-		out[i] = tr.Apply(s.gen.Next())
+		out[i] = s.gen.Next()
 	}
+	s.st.g.tr.ApplyTo(out, out)
 }
 
 // fillWindow is how many streams FillStreams groups over at a time: the

@@ -32,15 +32,33 @@ func getLUT(b *testing.B) (T, *LUT) {
 	return lutTransform, lutTable
 }
 
+// raceEnabled is set by race_test.go in -race builds.
+var raceEnabled bool
+
 // BenchmarkTransformApplyExact maps a background path to the foreground
-// through the exact CDF/quantile composition.
+// through the exact CDF/quantile composition: go is the per-frame Apply
+// loop, avx2 is ApplyTo on the vector kernel (skipped where it does not
+// run). Both report ns/frame.
 func BenchmarkTransformApplyExact(b *testing.B) {
 	tr, _ := getLUT(b)
 	xs, dst := benchNormals(applyLen)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tr.ApplyTo(dst, xs)
-	}
+	b.Run("go", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for j, x := range xs {
+				dst[j] = tr.Apply(x)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*applyLen), "ns/frame")
+	})
+	b.Run("avx2", func(b *testing.B) {
+		if !exactKernel {
+			b.Skip("no vector kernel on this processor")
+		}
+		for i := 0; i < b.N; i++ {
+			tr.ApplyTo(dst, xs)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*applyLen), "ns/frame")
+	})
 }
 
 // BenchmarkTransformApplyLUT maps the same path through the precomputed

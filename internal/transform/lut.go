@@ -49,11 +49,14 @@ func (t T) NewLUT(bins int, lo, hi float64) (*LUT, error) {
 	l.invStep = 1 / step
 	l.vals = make([]float64, bins+1)
 	for i := range l.vals {
-		l.vals[i] = t.Apply(lo + float64(i)*step)
+		l.vals[i] = lo + float64(i)*step
 	}
-	for i := 0; i < bins; i++ {
-		mid := lo + (float64(i)+0.5)*step
-		exact := t.Apply(mid)
+	t.ApplyTo(l.vals, l.vals)
+	mids := make([]float64, bins)
+	for i := range mids {
+		mids[i] = lo + (float64(i)+0.5)*step
+	}
+	for i, exact := range t.ApplyTo(mids, mids) {
 		interp := 0.5 * (l.vals[i] + l.vals[i+1])
 		if d := math.Abs(interp - exact); d > l.maxErr {
 			l.maxErr = d

@@ -50,11 +50,13 @@ func (t T) ApplySlice(xs []float64) []float64 {
 }
 
 // ApplyTo maps xs into dst (which may alias xs, enabling in-place
-// transformation of reused path buffers) and returns dst[:len(xs)].
+// transformation of reused path buffers) and returns dst[:len(xs)]. Every
+// frame carries the bits Apply gives it; a dist.Normal or dist.Lognormal
+// target runs the vector kernel where the processor has one (applyVec).
 func (t T) ApplyTo(dst, xs []float64) []float64 {
 	dst = dst[:len(xs)]
-	for i, x := range xs {
-		dst[i] = t.Apply(x)
+	for i := t.applyVec(dst, xs); i < len(xs); i++ {
+		dst[i] = t.Apply(xs[i])
 	}
 	return dst
 }

@@ -28,7 +28,9 @@ echo "== arm64 fused multiply-add scan"
 # The Go loops behind the fft, streamblock and hosking vector kernels are
 # the only path off amd64 and the kernels' test oracle, so they must compute
 # the amd64 bits on every architecture; so must TruncatedGenerator.Next,
-# the lanes' bit reference. The arm64 compiler fuses x*y+z into one
+# the lanes' bit reference, and the dist functions behind the exact
+# transform's kernel (stdNormalQuantile, Normal.CDF, Normal.Quantile,
+# Lognormal.Quantile). The arm64 compiler fuses x*y+z into one
 # rounding unless an explicit float64() conversion rounds the product, so
 # cross-build the packages' test binaries and require that every one of
 # those functions is present and holds no FMADD/FMSUB/FNMADD/FNMSUB.
@@ -37,16 +39,20 @@ trap 'rm -rf "$armdir"' EXIT
 GOARCH=arm64 go test -c -o "$armdir/fft.test" ./internal/fft
 GOARCH=arm64 go test -c -o "$armdir/streamblock.test" ./internal/streamblock
 GOARCH=arm64 go test -c -o "$armdir/hosking.test" ./internal/hosking
+GOARCH=arm64 go test -c -o "$armdir/dist.test" ./internal/dist
 go tool objdump -s '^vbrsim/internal/fft\.(stageRange|radix2|radix22|hermitianTileStages|hermitianScatter|hermitianScatterScaled|hermitianScatterConjProduct)$' \
     "$armdir/fft.test" >"$armdir/fused.txt"
 go tool objdump -s '^vbrsim/internal/streamblock\.(arResidual|arResidualFrom)$' \
     "$armdir/streamblock.test" >>"$armdir/fused.txt"
 go tool objdump -s '^vbrsim/internal/hosking\.(\(\*TruncatedGenerator\)\.Next|lanesGo)$' \
     "$armdir/hosking.test" >>"$armdir/fused.txt"
+go tool objdump -s '^vbrsim/internal/dist\.(stdNormalQuantile|Normal\.CDF|Normal\.Quantile|Lognormal\.Quantile)$' \
+    "$armdir/dist.test" >>"$armdir/fused.txt"
 for fn in fft.stageRange fft.radix2 fft.radix22 fft.hermitianTileStages fft.hermitianScatter \
     fft.hermitianScatterScaled fft.hermitianScatterConjProduct \
     streamblock.arResidual streamblock.arResidualFrom \
-    'hosking.(*TruncatedGenerator).Next' hosking.lanesGo; do
+    'hosking.(*TruncatedGenerator).Next' hosking.lanesGo \
+    dist.stdNormalQuantile dist.Normal.CDF dist.Normal.Quantile dist.Lognormal.Quantile; do
     grep -qF "TEXT vbrsim/internal/$fn(SB)" "$armdir/fused.txt" \
         || { echo "arm64 scan: $fn not found in the test binary" >&2; exit 1; }
 done
@@ -120,8 +126,9 @@ echo "== perf gates"
 #   benchdiff TrunkFillSerial/s=64 -> TestTrunkFillZeroAllocSteadyState,
 #     TestTrunkFillOverheadRatio (median trunk/components time <= 1.15)
 #   benchdiff StreamBlockFillStatmon/off|on -> TestTapShareOfFill (median
-#     tap/fill time share <= 0.0065, the fill being the truncated engine's
-#     AR recursion, which no vector kernel touches),
+#     time share of the tap against the truncated AR(p) recursion making the
+#     same chunk <= 0.0090; the recursion alone, because a truncated fill
+#     now includes the exact transform's vector kernel),
 #     TestObserveZeroAlloc
 #   capacity ramp smoke -> stream-short frames_per_s;
 #     TestFramesRecordsAllocs (4- and 256-frame reads)
@@ -157,17 +164,19 @@ echo "== perf gates"
 #   time over RealForward's middle stages at F = 4096 <= 0.75) and
 #   TestResidualKernelRatio (median AVX2/Go AR residual time at p = 361
 #   <= 0.75) and TestLanesKernelRatio (median AVX2/Go time of one 8-lane
-#   truncated-AR arena pass at p = 361 <= 0.5) guard that each assembly
-#   kernel pays for itself.
+#   truncated-AR arena pass at p = 361 <= 0.5) and TestExactKernelRatio
+#   (median time of the exact transform's AVX2+FMA kernel against the
+#   per-frame Apply loop over a 4096-frame path, lognormal target, <= 0.5)
+#   guard that each assembly kernel pays for itself.
 # Block engine: TestBlockVsTruncatedRatio (median time of a block-engine
 #   fill of 2·B frames against the truncated AR(p) recursion's fill of as
 #   many, paper spec, <= 0.13) guards what the block engine is for.
 # The timing tests skip under -short and under -race, so no race run
 # times instrumented code.
-go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio|TestRadix2KernelRatio|TestResidualKernelRatio|TestLanesKernelRatio|TestBlockVsTruncatedRatio)$' \
+go test -count=3 -run '^(TestPathEngineZeroAlloc|TestDHSteadyStateZeroAlloc|TestForwardZeroAlloc|TestRealPathZeroAlloc|TestSteadyStateZeroAlloc|TestStreamFillZeroAlloc|TestFillStreamsZeroAlloc|TestStepLockstepRatio|TestForChunksInlineZeroAlloc|TestTrunkFillZeroAllocSteadyState|TestTrunkFillOverheadRatio|TestObserveZeroAlloc|TestTapShareOfFill|TestFramesRecordsAllocs|TestTruncatedOpenRetainedBytes|TestSessionRetainedBytes|TestBlockSessionRetainedBytes|TestColdOpenAllocatedBytes|TestChurnCycleAllocatedBytes|TestGenerateFastRetainsNoPlan|TestNormPairsRatio|TestPolarKernelRatio|TestButterflyKernelRatio|TestRadix2KernelRatio|TestResidualKernelRatio|TestLanesKernelRatio|TestExactKernelRatio|TestBlockVsTruncatedRatio)$' \
     ./internal/daviesharte ./internal/fft ./internal/streamblock ./internal/hosking \
     ./internal/modelspec ./internal/par ./internal/trunk ./internal/statmon \
-    ./internal/server ./internal/rng ./internal/core
+    ./internal/server ./internal/rng ./internal/core ./internal/transform
 
 echo "== fuzz smoke"
 # Bounded runs of the native fuzz targets: spec decoding must never panic
@@ -211,6 +220,10 @@ go test ./internal/hosking -run '^$' -fuzz 'FuzzLockstepVsNext' -fuzztime=5s
 # The AVX2 lanes kernel must stay bit-identical to its Go loop on arbitrary
 # arenas, edge values included, at every order (skips without AVX2).
 go test ./internal/hosking -run '^$' -fuzz 'FuzzLanesKernelVsGo' -fuzztime=5s
+# The exact transform's vector kernel must give T.Apply's bits on arbitrary
+# frames, locations and scales, for normal and lognormal targets (skips
+# without AVX2 and FMA).
+go test ./internal/transform -run '^$' -fuzz 'FuzzExactKernelVsApply' -fuzztime=5s
 
 echo "== trafficd smoke test"
 # Start the daemon on an ephemeral port, hit /healthz and a 100-frame
